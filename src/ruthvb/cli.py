@@ -88,11 +88,11 @@ def cmd_validate(args) -> int:
         rep.add("groupoid axioms", True)
         rep.add("nerve sizes", True, witness=[len(G.nerve_level(n)) for n in range(3)])
     elif args.kind == "ruth":
-        from .ruth import check_rh1, check_rh2
+        from .ruth import Ruth, check_rh1, check_rh2
 
         R = docs.ruth_from_doc(doc)
         if args.mcap is not None:
-            R.m_cap = args.mcap
+            R = Ruth(R.E, R.ops, m_cap=args.mcap)
         r1 = check_rh1(R)
         rep.add("units and degeneracies", r1.ok, witness=_witness_str(r1.violations))
         r2 = check_rh2(R)
@@ -121,14 +121,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build_sdp(args) -> int:
-    from .ruth import check_rh1, check_rh2
+    from .ruth import Ruth, check_rh1, check_rh2
     from .sdp import build_sdp, d0_paths_agree, verify_sdp
     from .svb import check_cleavage
 
     path = _resolve(args.path)
     R = docs.ruth_from_doc(docs.load_document(path))
     if args.mcap is not None:
-        R.m_cap = args.mcap
+        R = Ruth(R.E, R.ops, m_cap=args.mcap)
     rep = Report("build-sdp", [path])
     r1, r2 = check_rh1(R), check_rh2(R)
     rep.add("input tower axioms", r1.ok and r2.ok,

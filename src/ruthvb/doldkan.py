@@ -14,11 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ValidationError
-from .exactla import Fr, ONE, RatMat, Subspace, solve_matrix
+from .exactla import Fr, ONE, RatMat, Subspace, image, solve_matrix
 from .graded import BlockMap, Grading
 from .ordmaps import (
-    drop_rank,
-    prime_mask,
+    d0_row,
     transport_degeneracy_table,
     transport_face_table,
     zero_mono_masks,
@@ -151,21 +150,6 @@ def constant_simp_vs(dim: int, L: int) -> SimpVS:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dk_d0_terms(beta_mask: int) -> tuple[tuple[int, str, int], ...]:
-    """(source mask, kind, sign) triples feeding target beta under d_0.
-
-    kind "D" is the boundary block on the primed index; kind "s" a signed
-    identity block on a deleted interior element.
-    """
-    bp = prime_mask(beta_mask)
-    l = bin(beta_mask).count("1") - 1
-    terms = [(bp, "D", 1)]
-    for i in range(1, l + 2):
-        terms.append((drop_rank(bp, i), "s", 1 if i % 2 else -1))
-    return tuple(terms)
-
-
 def dk(Y: ChainComplex, L: int | None = None) -> SimpVS:
     """Simplicial vector space on the 0-preserving mono indices of Y."""
     if L is None:
@@ -179,18 +163,20 @@ def dk(Y: ChainComplex, L: int | None = None) -> SimpVS:
         src, dst = grading(n), grading(n - 1)
         if i > 0:
             return BlockMap.transport(src, dst, [(b, s, 1) for b, s in transport_face_table(n, i)])
+        # the semi-direct-product row over a point: identities for Case II and
+        # m = 1, the boundary for m = 0 (its (-1)^l is exactly sign_flip, so
+        # it is dropped here), and no higher operators
         blocks = {}
         for beta in zero_mono_masks(n - 1):
             if dst.dim(beta) == 0:
                 continue
-            for smask, kind, sign in _dk_d0_terms(beta):
-                deg_s = bin(smask).count("1") - 1
-                if src.dim(smask) == 0:
+            for term in d0_row(beta, n):
+                if src.dim(term.source_mask) == 0:
                     continue
-                if kind == "D":
-                    blocks[(beta, smask)] = Y.d(deg_s).scale(sign)
-                else:
-                    blocks[(beta, smask)] = Fr(sign)
+                if term.case == "II" or term.m == 1:
+                    blocks[(beta, term.source_mask)] = Fr(term.sign)
+                elif term.m == 0:
+                    blocks[(beta, term.source_mask)] = Y.d(bin(term.source_mask).count("1") - 1)
         return BlockMap(src, dst, blocks)
 
     def deg(n, j):
@@ -463,7 +449,7 @@ def check_unique_flat_cleavage(X: SimpVS) -> FlatCleavageReport:
     flatness = []
     for n in range(2, X.L + 1):
         W = _flat_witness_space(X, spans, n)
-        img = image_of_subspace(X.face(n, 0).to_dense(), W)
+        img = image(X.face(n, 0).to_dense(), W)
         ok = all(spans[n - 1].contains(row) for row in img.mat.data)
         flatness.append(LevelCheck(n, 0, ok, f"witness dim {W.dim}"))
     order_equiv = []
@@ -478,12 +464,6 @@ def check_unique_flat_cleavage(X: SimpVS) -> FlatCleavageReport:
             LevelCheck(n, -1, unique == (norm.dims[n] == 0), f"NX dim {norm.dims[n]}")
         )
     return FlatCleavageReport(horn_iso, flatness, order_equiv)
-
-
-def image_of_subspace(A: RatMat, S: Subspace) -> Subspace:
-    from .exactla import image
-
-    return image(A, S)
 
 
 def _flat_witness_space(X: SimpVS, spans: dict[int, Subspace], n: int) -> Subspace:

@@ -7,6 +7,11 @@ cap that is complete once it reaches twice the top degree plus two.  The
 supported generators are strict representations, chain complexes over unit
 groupoids, gauge twists, and splittings of bundles; building a valid tower by
 hand is hard, so everything nontrivial is produced by construction.
+
+Towers, morphisms and gauge data (with psi_0 = id stored) share one table
+type, one block per (m, simplex) and source degree.  Zero blocks are never
+stored, so an absent block is zero and equality is table equality.  Every
+head/tail sum over the splittings of a simplex goes through convolve.
 """
 
 from __future__ import annotations
@@ -60,72 +65,145 @@ def uniform_bundle(G: FinGroupoid, dims) -> GradedBundle:
     return GradedBundle(G, {x: tuple(dims) for x in range(G.n_objects)})
 
 
-class Ruth:
-    """Operator tower R_m over the nerve of a finite groupoid."""
+class _OperatorTable:
+    """One block per nerve simplex and source degree, of degree m + shift.
 
-    def __init__(self, E: GradedBundle, operators, m_cap: int | None = None):
-        self.E = E
-        self.G = E.G
-        self.m_cap = (2 * E.N + 2) if m_cap is None else m_cap
-        # operators: (m, simplex) -> {src_degree: RatMat}
+    ops maps (m, simplex) to {source degree: RatMat}, ascending in degree.
+    Zero blocks are never stored: an absent block is zero, so two tables
+    with the same bundles are equal exactly when their ops are.
+    """
+
+    shift = 0
+
+    def __init__(self, src: GradedBundle, tgt: GradedBundle, operators):
+        self.G = src.G
+        self._src, self._tgt = src, tgt
         self.ops: dict[tuple[int, NerveSimplex], dict[int, RatMat]] = {}
         for (m, s), table in operators.items():
-            clean = {}
-            for deg, mat in table.items():
-                tgt_deg = deg + m - 1
-                want_rows = E.dim(self.G.vertex_obj(s, s.level), tgt_deg)
-                want_cols = E.dim(s.x0, deg)
-                if (mat.rows, mat.cols) != (want_rows, want_cols):
-                    raise ValidationError(
-                        f"operator block m={m}, degree {deg} has shape "
-                        f"{mat.rows}x{mat.cols}, want {want_rows}x{want_cols}"
-                    )
-                if not mat.is_zero():
-                    clean[deg] = mat
-            if clean:
-                self.ops[(m, s)] = clean
+            self._store(m, s, table)
+
+    def _store(self, m: int, s: NerveSimplex, table: dict[int, RatMat]) -> None:
+        """Check shapes and keep the nonzero blocks, ascending in degree."""
+        clean = {}
+        for deg in sorted(table):
+            mat = table[deg]
+            want_rows = self._tgt.dim(self.G.vertex_obj(s, s.level), deg + m + self.shift)
+            want_cols = self._src.dim(s.x0, deg)
+            if (mat.rows, mat.cols) != (want_rows, want_cols):
+                raise ValidationError(
+                    f"operator block m={m}, degree {deg} has shape "
+                    f"{mat.rows}x{mat.cols}, want {want_rows}x{want_cols}"
+                )
+            if not mat.is_zero():
+                clean[deg] = mat
+        if clean:
+            self.ops[(m, s)] = clean
 
     def block(self, m: int, s: NerveSimplex, src_deg: int) -> RatMat:
-        """The (m, simplex) operator on degree src_deg; zero when absent."""
-        tgt_deg = src_deg + m - 1
-        rows = self.E.dim(self.G.vertex_obj(s, s.level), tgt_deg) if tgt_deg >= 0 else 0
-        cols = self.E.dim(s.x0, src_deg)
-        table = self.ops.get((m, s))
-        if table is not None:
-            mat = table.get(src_deg)
-            if mat is not None:
-                return mat
-        return RatMat.zeros(rows, cols)
+        """The (m, simplex) block on degree src_deg; zero when absent."""
+        mat = self.ops.get((m, s), {}).get(src_deg)
+        if mat is None:
+            rows = self._tgt.dim(self.G.vertex_obj(s, s.level), src_deg + m + self.shift)
+            mat = RatMat.zeros(rows, self._src.dim(s.x0, src_deg))
+        return mat
 
     def operator(self, m: int, s: NerveSimplex) -> dict[int, RatMat]:
-        out = {}
-        for deg in self.E.degrees():
-            mat = self.block(m, s, deg)
-            if mat.rows and mat.cols and not mat.is_zero():
-                out[deg] = mat
-        return out
+        """The nonzero blocks at (m, simplex) by source degree."""
+        return dict(self.ops.get((m, s), {}))
+
+    def equal_operators(self, other: _OperatorTable) -> bool:
+        return self.ops == other.ops
+
+
+def _identity_ops(E: GradedBundle):
+    """psi_0 = id on every object, as an operator table."""
+    return {
+        (0, NerveSimplex(x, ())): {
+            deg: RatMat.identity(E.dim(x, deg)) for deg in E.degrees() if E.dim(x, deg)
+        }
+        for x in range(E.G.n_objects)
+    }
+
+
+class Ruth(_OperatorTable):
+    """Operator tower R_m over the nerve of a finite groupoid."""
+
+    shift = -1
+
+    def __init__(self, E: GradedBundle, operators, m_cap: int | None = None):
+        super().__init__(E, E, operators)
+        self.E = E
+        self.m_cap = (2 * E.N + 2) if m_cap is None else m_cap
 
     def with_block(self, m: int, s: NerveSimplex, src_deg: int, mat: RatMat) -> Ruth:
         """Copy with one block replaced (no validity assumed)."""
         ops = {k: dict(v) for k, v in self.ops.items()}
-        table = ops.setdefault((m, s), {})
-        table[src_deg] = mat
+        ops.setdefault((m, s), {})[src_deg] = mat
         return Ruth(self.E, ops, m_cap=self.m_cap)
 
     def __eq__(self, other):
-        if not isinstance(other, Ruth) or self.E != other.E:
+        return isinstance(other, Ruth) and self.E == other.E and self.equal_operators(other)
+
+
+# ---------------------------------------------------------------------------
+# The head/tail convolution and the axiom checkers.
+# ---------------------------------------------------------------------------
+
+
+def _acc(table: dict[int, RatMat], other: dict[int, RatMat], sign: int):
+    for deg, mat in other.items():
+        mat = mat if sign > 0 else -mat
+        cur = table.get(deg)
+        table[deg] = mat if cur is None else cur + mat
+    return table
+
+
+def convolve(outer: _OperatorTable, inner: _OperatorTable, m: int, s: NerveSimplex,
+             alternate: bool = False) -> dict[int, RatMat]:
+    """Sum over r of (+-1)^r outer_{m-r}(tail) ∘ inner_r(head), degreewise.
+
+    head and tail are the first r and last m - r arrows of the m-simplex s;
+    the sign alternates in r only when asked.  Reads the stored tables, so
+    absent (zero) blocks cost nothing.
+    """
+    G = inner.G
+    out: dict[int, RatMat] = {}
+    for r in range(m + 1):
+        first = inner.ops.get((r, G.restrict(s, sigma(r, m))))
+        if not first:
+            continue
+        second = outer.ops.get((m - r, G.restrict(s, tau(m - r, m))))
+        if not second:
+            continue
+        products = {}
+        for deg, mat in first.items():
+            after = second.get(deg + r + inner.shift)
+            if after is not None:
+                products[deg] = after @ mat
+        _acc(out, products, -1 if alternate and r % 2 else 1)
+    return out
+
+
+def face_sum(X: _OperatorTable, m: int, s: NerveSimplex) -> dict[int, RatMat]:
+    """Sum over the inner faces i = 1..m-1 of (-1)^i X_{m-1}(d_i s), degreewise."""
+    out: dict[int, RatMat] = {}
+    for i in range(1, m):
+        _acc(out, X.ops.get((m - 1, X.G.face(s, i)), {}), -1 if i % 2 else 1)
+    return out
+
+
+def _tables_equal(a: dict[int, RatMat], b: dict[int, RatMat]) -> bool:
+    for deg in set(a) | set(b):
+        am, bm = a.get(deg), b.get(deg)
+        if am is None:
+            if not bm.is_zero():
+                return False
+        elif bm is None:
+            if not am.is_zero():
+                return False
+        elif am != bm:
             return False
-        keys = set(self.ops) | set(other.ops)
-        for m, s in keys:
-            for deg in self.E.degrees():
-                if self.block(m, s, deg) != other.block(m, s, deg):
-                    return False
-        return True
-
-
-# ---------------------------------------------------------------------------
-# Axiom checkers.
-# ---------------------------------------------------------------------------
+    return True
 
 
 @dataclass
@@ -141,46 +219,6 @@ class CheckReport:
     def add(self, witness, cap: int = 20):
         if len(self.violations) < cap:
             self.violations.append(witness)
-
-
-def _compose_ops(R: Ruth, outer: tuple[int, NerveSimplex], inner: tuple[int, NerveSimplex]):
-    """Degreewise composite R_outer ∘ R_inner as {src_degree: RatMat}."""
-    mo, so = outer
-    mi, si = inner
-    out = {}
-    for deg in R.E.degrees():
-        first = R.block(mi, si, deg)
-        if first.rows == 0 or first.cols == 0:
-            continue
-        second = R.block(mo, so, deg + mi - 1)
-        if second.rows == 0:
-            continue
-        prod = second @ first
-        if not prod.is_zero():
-            out[deg] = prod
-    return out
-
-
-def _acc(table: dict[int, RatMat], other: dict[int, RatMat], sign: int, shapes):
-    for deg, mat in other.items():
-        mat = mat if sign > 0 else -mat
-        cur = table.get(deg)
-        table[deg] = mat if cur is None else cur + mat
-    return table
-
-
-def _tables_equal(a: dict[int, RatMat], b: dict[int, RatMat]) -> bool:
-    for deg in set(a) | set(b):
-        am, bm = a.get(deg), b.get(deg)
-        if am is None:
-            if not bm.is_zero():
-                return False
-        elif bm is None:
-            if not am.is_zero():
-                return False
-        elif am != bm:
-            return False
-    return True
 
 
 def check_rh1(R: Ruth) -> CheckReport:
@@ -206,18 +244,7 @@ def check_rh1(R: Ruth) -> CheckReport:
 
 def rh2_sides(R: Ruth, m: int, s: NerveSimplex):
     """Both sides of the quadratic coherence at one m-simplex, degreewise."""
-    G = R.G
-    lhs: dict[int, RatMat] = {}
-    for i in range(1, m):
-        sign = -1 if i % 2 else 1
-        _acc(lhs, R.operator(m - 1, G.face(s, i)), sign, None)
-    rhs: dict[int, RatMat] = {}
-    for r in range(m + 1):
-        sign = -1 if r % 2 else 1
-        head = G.restrict(s, sigma(r, m))
-        tail = G.restrict(s, tau(m - r, m))
-        _acc(rhs, _compose_ops(R, (m - r, tail), (r, head)), sign, None)
-    return lhs, rhs
+    return face_sum(R, m, s), convolve(R, R, m, s, alternate=True)
 
 
 def check_rh2(R: Ruth, m_cap: int | None = None) -> CheckReport:
@@ -246,124 +273,31 @@ def validate_ruth(R: Ruth) -> None:
 # ---------------------------------------------------------------------------
 
 
-class RuthMorphism:
+class RuthMorphism(_OperatorTable):
     """Operator tower psi_m of degree m between two towers on the same groupoid."""
 
     def __init__(self, source: Ruth, target: Ruth, operators):
         if source.G is not target.G:
             raise ValidationError("morphism requires a common base groupoid")
+        super().__init__(source.E, target.E, operators)
         self.source = source
         self.target = target
-        self.G = source.G
-        # operators: (m, simplex) -> {src_degree: RatMat of target.E dim x source.E dim}
-        self.ops: dict[tuple[int, NerveSimplex], dict[int, RatMat]] = {}
-        for (m, s), table in operators.items():
-            clean = {}
-            for deg, mat in table.items():
-                want_rows = target.E.dim(self.G.vertex_obj(s, s.level), deg + m)
-                want_cols = source.E.dim(s.x0, deg)
-                if (mat.rows, mat.cols) != (want_rows, want_cols):
-                    raise ValidationError(f"morphism block m={m} degree {deg} has wrong shape")
-                if not mat.is_zero():
-                    clean[deg] = mat
-            if clean:
-                self.ops[(m, s)] = clean
-
-    def block(self, m: int, s: NerveSimplex, src_deg: int) -> RatMat:
-        rows = self.target.E.dim(self.G.vertex_obj(s, s.level), src_deg + m)
-        cols = self.source.E.dim(s.x0, src_deg)
-        table = self.ops.get((m, s))
-        if table is not None:
-            mat = table.get(src_deg)
-            if mat is not None:
-                return mat
-        return RatMat.zeros(rows, cols)
-
-    def operator(self, m: int, s: NerveSimplex) -> dict[int, RatMat]:
-        out = {}
-        for deg in self.source.E.degrees():
-            mat = self.block(m, s, deg)
-            if mat.rows and mat.cols and not mat.is_zero():
-                out[deg] = mat
-        return out
 
     def is_gauge(self) -> bool:
-        if self.source.E != self.target.E:
-            return False
-        for x in range(self.G.n_objects):
-            s = NerveSimplex(x, ())
-            for deg in self.source.E.degrees():
-                if self.block(0, s, deg) != RatMat.identity(self.source.E.dim(x, deg)):
-                    return False
-        return True
-
-    def equal_operators(self, other: RuthMorphism) -> bool:
-        keys = set(self.ops) | set(other.ops)
-        for m, s in keys:
-            for deg in self.source.E.degrees():
-                if self.block(m, s, deg) != other.block(m, s, deg):
-                    return False
-        return True
+        E = self.source.E
+        return E == self.target.E and all(
+            self.ops.get(key, {}) == table for key, table in _identity_ops(E).items()
+        )
 
 
 def identity_morphism(R: Ruth) -> RuthMorphism:
-    ops = {}
-    for x in range(R.G.n_objects):
-        s = NerveSimplex(x, ())
-        ops[(0, s)] = {deg: RatMat.identity(R.E.dim(x, deg)) for deg in R.E.degrees()}
-    return RuthMorphism(R, R, ops)
-
-
-def _psi_R_compose(psi: RuthMorphism, mp: int, sp: NerveSimplex, R: Ruth, mr: int, sr: NerveSimplex):
-    """psi_{mp}^{sp} ∘ R_{mr}^{sr} degreewise."""
-    out = {}
-    for deg in R.E.degrees():
-        first = R.block(mr, sr, deg)
-        if first.rows == 0 or first.cols == 0:
-            continue
-        second = psi.block(mp, sp, deg + mr - 1)
-        if second.rows == 0:
-            continue
-        prod = second @ first
-        if not prod.is_zero():
-            out[deg] = prod
-    return out
-
-
-def _R_psi_compose(R: Ruth, mr: int, sr: NerveSimplex, psi: RuthMorphism, mp: int, sp: NerveSimplex):
-    out = {}
-    for deg in psi.source.E.degrees():
-        first = psi.block(mp, sp, deg)
-        if first.rows == 0 or first.cols == 0:
-            continue
-        second = R.block(mr, sr, deg + mp)
-        if second.rows == 0:
-            continue
-        prod = second @ first
-        if not prod.is_zero():
-            out[deg] = prod
-    return out
+    return RuthMorphism(R, R, _identity_ops(R.E))
 
 
 def rh4_sides(psi: RuthMorphism, m: int, s: NerveSimplex):
-    G = psi.G
-    R, Rp = psi.source, psi.target
-    sign_m = -1 if m % 2 else 1
-    lhs: dict[int, RatMat] = {}
-    for r in range(m + 1):
-        head = G.restrict(s, sigma(r, m))
-        tail = G.restrict(s, tau(m - r, m))
-        _acc(lhs, _R_psi_compose(Rp, m - r, tail, psi, r, head), sign_m, None)
-    for i in range(1, m):
-        sign = -1 if i % 2 else 1
-        _acc(lhs, psi.operator(m - 1, G.face(s, i)), sign, None)
-    rhs: dict[int, RatMat] = {}
-    for r in range(m + 1):
-        sign = -1 if r % 2 else 1
-        head = G.restrict(s, sigma(r, m))
-        tail = G.restrict(s, tau(m - r, m))
-        _acc(rhs, _psi_R_compose(psi, m - r, tail, R, r, head), sign, None)
-    return lhs, rhs
+    """Both sides of the mixed coherence at one m-simplex, degreewise."""
+    lhs = _acc(face_sum(psi, m, s), convolve(psi.target, psi, m, s), -1 if m % 2 else 1)
+    return lhs, convolve(psi, psi.source, m, s, alternate=True)
 
 
 def check_morphism(psi: RuthMorphism, m_cap: int | None = None) -> CheckReport:
@@ -391,29 +325,11 @@ def compose_morphisms(outer: RuthMorphism, inner: RuthMorphism) -> RuthMorphism:
     if inner.target is not outer.source and inner.target != outer.source:
         raise ValidationError("morphisms not composable")
     G = outer.G
-    ops = {}
-    cap = inner.source.m_cap
-    for m in range(cap + 1):
-        for s in G.nerve_level(m):
-            table: dict[int, RatMat] = {}
-            for r in range(m + 1):
-                head = G.restrict(s, sigma(r, m))
-                tail = G.restrict(s, tau(m - r, m))
-                for deg in inner.source.E.degrees():
-                    first = inner.block(r, head, deg)
-                    if first.rows == 0 or first.cols == 0:
-                        continue
-                    second = outer.block(m - r, tail, deg + r)
-                    if second.rows == 0:
-                        continue
-                    prod = second @ first
-                    if prod.is_zero():
-                        continue
-                    cur = table.get(deg)
-                    table[deg] = prod if cur is None else cur + prod
-            table = {deg: mat for deg, mat in table.items() if not mat.is_zero()}
-            if table:
-                ops[(m, s)] = table
+    ops = {
+        (m, s): convolve(outer, inner, m, s)
+        for m in range(inner.source.m_cap + 1)
+        for s in G.nerve_level(m)
+    }
     return RuthMorphism(inner.source, outer.target, ops)
 
 
@@ -422,45 +338,21 @@ def compose_morphisms(outer: RuthMorphism, inner: RuthMorphism) -> RuthMorphism:
 # ---------------------------------------------------------------------------
 
 
-class GaugeData:
+class GaugeData(_OperatorTable):
     """Higher operators psi_m (m >= 1) with psi_0 = id, vanishing on degenerates."""
 
     def __init__(self, E: GradedBundle, higher):
-        self.E = E
-        self.G = E.G
         # higher: (m, simplex) -> {src_degree: RatMat}, m >= 1
-        self.higher = {}
         for (m, s), table in higher.items():
             if m < 1:
                 raise ValidationError("gauge data only carries m >= 1")
-            if self.G.is_degenerate(s):
-                if any(not mat.is_zero() for mat in table.values()):
-                    raise ValidationError("gauge data must vanish on degenerate simplices")
-                continue
-            clean = {deg: mat for deg, mat in table.items() if not mat.is_zero()}
-            if clean:
-                self.higher[(m, s)] = clean
-
-    def block(self, m: int, s: NerveSimplex, deg: int) -> RatMat:
-        rows = self.E.dim(self.G.vertex_obj(s, s.level), deg + m)
-        cols = self.E.dim(s.x0, deg)
-        if m == 0:
-            return RatMat.identity(rows) if s.level == 0 and rows == cols else RatMat.zeros(rows, cols)
-        table = self.higher.get((m, s))
-        if table is not None:
-            mat = table.get(deg)
-            if mat is not None:
-                return mat
-        return RatMat.zeros(rows, cols)
+            if E.G.is_degenerate(s) and any(not mat.is_zero() for mat in table.values()):
+                raise ValidationError("gauge data must vanish on degenerate simplices")
+        super().__init__(E, E, {**_identity_ops(E), **higher})
+        self.E = E
 
     def as_morphism(self, source: Ruth, target: Ruth) -> RuthMorphism:
-        ops = {}
-        for x in range(self.G.n_objects):
-            s = NerveSimplex(x, ())
-            ops[(0, s)] = {deg: RatMat.identity(self.E.dim(x, deg)) for deg in self.E.degrees()}
-        for key, table in self.higher.items():
-            ops[key] = dict(table)
-        return RuthMorphism(source, target, ops)
+        return RuthMorphism(source, target, self.ops)
 
 
 def twisted_ruth_direct(R: Ruth, psi: GaugeData) -> Ruth:
@@ -471,66 +363,17 @@ def twisted_ruth_direct(R: Ruth, psi: GaugeData) -> Ruth:
     closed-form counterpart of splitting along the twisted cleavage; the two
     are compared exactly in the tests.
     """
-    G, E = R.G, R.E
-    new_ops: dict[tuple[int, NerveSimplex], dict[int, RatMat]] = {}
-    Rp = Ruth(E, {}, m_cap=R.m_cap)
-
-    def rp_block(m, s, deg):
-        tgt = deg + m - 1
-        rows = E.dim(G.vertex_obj(s, s.level), tgt) if tgt >= 0 else 0
-        cols = E.dim(s.x0, deg)
-        table = new_ops.get((m, s))
-        if table and deg in table:
-            return table[deg]
-        return RatMat.zeros(rows, cols)
-
-    for m in range(R.m_cap + 1):
-        for s in G.nerve_level(m):
-            sign_m = -1 if m % 2 else 1
-            # known = everything in the coherence except the (-1)^m R'_m psi_0 term
-            table: dict[int, RatMat] = {}
-            for deg in E.degrees():
-                rows = E.dim(G.vertex_obj(s, s.level), deg + m - 1) if deg + m - 1 >= 0 else 0
-                cols = E.dim(s.x0, deg)
-                if rows == 0 or cols == 0:
-                    continue
-                acc = RatMat.zeros(rows, cols)
-                # right-hand side: sum (-1)^r psi_{m-r} R_r
-                for r in range(m + 1):
-                    head = G.restrict(s, sigma(r, m))
-                    tail = G.restrict(s, tau(m - r, m))
-                    first = R.block(r, head, deg)
-                    if first.rows == 0 or first.cols == 0:
-                        continue
-                    second = psi.block(m - r, tail, deg + r - 1)
-                    if second.rows == 0:
-                        continue
-                    prod = second @ first
-                    if r % 2:
-                        prod = -prod
-                    acc = acc + prod
-                # minus the face terms
-                for i in range(1, m):
-                    mat = psi.block(m - 1, G.face(s, i), deg)
-                    if mat.rows and mat.cols:
-                        acc = acc + (mat if (i + 1) % 2 else -mat).scale(-1)
-                # minus the lower R' psi terms (r >= 1)
-                for r in range(1, m + 1):
-                    head = G.restrict(s, sigma(r, m))
-                    tail = G.restrict(s, tau(m - r, m))
-                    first = psi.block(r, head, deg)
-                    if first.rows == 0 or first.cols == 0:
-                        continue
-                    second = rp_block(m - r, tail, deg + r)
-                    if second.rows == 0:
-                        continue
-                    acc = acc - (second @ first).scale(sign_m)
-                mat = acc.scale(sign_m)
-                if not mat.is_zero():
-                    table[deg] = mat
-            if table:
-                new_ops[(m, s)] = table
-    return Ruth(E, new_ops, m_cap=R.m_cap)
+    Rp = Ruth(R.E, {}, m_cap=R.m_cap)
+    # a level-m block raises degree by m - 1, so levels above N + 1 are empty
+    for m in range(min(R.m_cap, R.E.N + 1) + 1):
+        sign_m = -1 if m % 2 else 1
+        for s in R.G.nerve_level(m):
+            # the coherence (-1)^m sum_r R'_{m-r} psi_r + faces = sum_r (-1)^r psi_{m-r} R_r;
+            # R'_m(s) is not stored yet, so the convolution over Rp is the r >= 1 part
+            known = _acc(convolve(psi, R, m, s, alternate=True), face_sum(psi, m, s), -1)
+            known = _acc(known, convolve(Rp, psi, m, s), -sign_m)
+            Rp._store(m, s, _acc({}, known, sign_m))
+    return Rp
 
 
 # ---------------------------------------------------------------------------

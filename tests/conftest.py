@@ -141,14 +141,6 @@ def random_gauge(E: GradedBundle, rng: random.Random, spread=(-2, 2)) -> GaugeDa
     return GaugeData(E, higher)
 
 
-BASES = {
-    "unit(2)": unit_groupoid,
-    "pair(2)": pair_groupoid,
-    "pair(3)": pair_groupoid,
-    "Z/2": cyclic_group,
-}
-
-
 def make_base(name: str) -> FinGroupoid:
     if name == "unit(2)":
         return unit_groupoid(2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -13,7 +14,7 @@ from ruthvb.doldkan import ChainComplex
 from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat
 from ruthvb.groupoid import pair_groupoid
-from ruthvb.ruth import check_rh2, gauge_twist
+from ruthvb.ruth import check_rh2, gauge_twist, twisted_ruth_direct
 from ruthvb.sdp import build_sdp
 
 
@@ -194,3 +195,41 @@ def test_fixture_dir_env(doc_dir, tmp_path, monkeypatch):
     path, _ = doc_dir
     monkeypatch.setenv("RUTHVB_FIXTURE_DIR", str(path))
     assert main(["--quiet", "validate", "groupoid", "groupoid.json"]) == 0
+
+
+# sha256 of every file the pinned pipeline writes; a change to any of these
+# means a canonical document or report is no longer byte-identical
+PINNED_SHA256 = {
+    "ruth.json": "cb1c2c2bd9fb3d9ef475bc70b1a566b388f08cd2ad0cb42e7fe34ea5e3f5cb5e",
+    "ruth_bad.json": "add182416f3df71bb6fbfcc69361cc59447f4b1cbb32c68e8a8a9d61454e4169",
+    "validate.json": "da6756a0e467a16f51815d95ac9e7f157eced70826e0bd47c36ce927f9f1dc93",
+    "build.json": "a2f1b7ccd515e591f3f4ad9d6aaa1342b085075f401d110c3a384ee88389e722",
+    "out/svb.json": "a6f2938ae5404144abe02bf3e474917cfe8dbf3f694446e689ce74b591bb1a89",
+    "out/cleavage.json": "b7901029dfa7496c96591ed804337ecf5c17664a00ddafa1eb1d5c90dd102b90",
+    "split.json": "a08ebc2b5a8acf291f5598f3b572f33ffb1da4d9eb3900c0540284981aefebfd",
+    "recovered.json": "cb1c2c2bd9fb3d9ef475bc70b1a566b388f08cd2ad0cb42e7fe34ea5e3f5cb5e",
+}
+
+
+def test_cli_outputs_pinned(tmp_path, monkeypatch):
+    """validate, build-sdp and split write the same bytes on a fixed twisted tower."""
+    G = pair_groupoid(2)
+    rng = random.Random(5)
+    R0 = random_strict_ruth(G, rng, (1, 1))
+    R = twisted_ruth_direct(R0, random_gauge(R0.E, rng))
+    monkeypatch.chdir(tmp_path)
+    doc = docs.ruth_to_doc(R)
+    docs.save_document("ruth.json", doc)
+    entry = next(e for e in doc["operators"] if e["m"] == 2)
+    entry["matrix"][0][0] = "7/2"
+    docs.save_document("ruth_bad.json", doc)
+    assert main(["--quiet", "--json", "validate.json", "validate", "ruth", "ruth_bad.json"]) == 1
+    (tmp_path / "out").mkdir()
+    assert main(["--quiet", "--json", "build.json", "build-sdp", "ruth.json", "--out", "out"]) == 0
+    assert main([
+        "--quiet", "--json", "split.json", "split", "out/svb.json", "out/cleavage.json",
+        "--out", "recovered.json",
+    ]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
+    assert digests["recovered.json"] == digests["ruth.json"]

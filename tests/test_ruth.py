@@ -93,17 +93,14 @@ def test_rh2_homotopy_shape():
     psi = random_gauge(R0.E, rng)
     R = twisted_ruth_direct(R0, psi)
     assert check_rh1(R).ok and check_rh2(R).ok
-    from ruthvb.ordmaps import sigma, tau
     from ruthvb.ruth import rh2_sides
 
     for s in G.nerve_level(2):
         lhs, rhs = rh2_sides(R, 2, s)
         for deg in R.E.degrees():
-            l = lhs.get(deg)
-            r = rhs.get(deg)
-            if l is None and r is None:
-                continue
-            assert (l or r) is not None
+            zero = R.block(2, s, deg).scale(0)  # an absent side is zero of this shape
+            assert lhs.get(deg, zero) == rhs.get(deg, zero)
+    assert any(R.operator(2, s) for s in G.nerve_level(2))
 
 
 def test_morphism_identity_and_perturbation():
