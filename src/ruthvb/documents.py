@@ -11,6 +11,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -53,6 +54,23 @@ def canonical_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@contextmanager
+def _reading(kind: str):
+    """Report a missing or ill-typed field as a malformed document (an input error)."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed {kind} document: missing or bad field {e}") from None
+
+
+def _per_simplex(G: FinGroupoid, n: int, entries):
+    """Pair each level-n simplex, in canonical order, with its document entry."""
+    level = G.nerve_level(n)
+    if len(entries) != len(level):
+        raise ValueError(f"level {n} has {len(entries)} entries for {len(level)} simplices")
+    return zip(level, entries)
+
+
 # ---------------------------------------------------------------------------
 # Groupoids.
 # ---------------------------------------------------------------------------
@@ -75,7 +93,7 @@ def groupoid_to_doc(G: FinGroupoid) -> dict:
 
 
 def groupoid_from_doc(doc: dict) -> FinGroupoid:
-    try:
+    with _reading("groupoid"):
         objects = list(doc["objects"])
         oidx = {name: i for i, name in enumerate(objects)}
         arrows = doc["arrows"]
@@ -93,10 +111,8 @@ def groupoid_from_doc(doc: dict) -> FinGroupoid:
         for g, h in doc["inverses"]:
             inv[g] = h
         comp = {(g2, g1): g for g2, g1, g in doc["compose"]}
-    except (KeyError, IndexError, TypeError) as e:
-        raise ValidationError(f"malformed groupoid document: missing or bad field {e}") from None
-    return FinGroupoid(objects, src, tgt, comp, units, inv,
-                       name=doc.get("name", ""), arrow_names=names)
+        name = doc.get("name", "")
+    return FinGroupoid(objects, src, tgt, comp, units, inv, name=name, arrow_names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +131,12 @@ def chain_to_doc(Y) -> dict:
 def chain_from_doc(doc: dict):
     from .doldkan import ChainComplex
 
-    dims = doc["dims"]
-    boundary = {
-        int(n): mat_from_json(rows, f"boundary[{n}]") for n, rows in doc.get("boundary", {}).items()
-    }
+    with _reading("chain complex"):
+        dims = doc["dims"]
+        boundary = {
+            int(n): mat_from_json(rows, f"boundary[{n}]")
+            for n, rows in doc.get("boundary", {}).items()
+        }
     return ChainComplex(dims, boundary)
 
 
@@ -148,17 +166,18 @@ def ruth_to_doc(R: Ruth) -> dict:
 
 
 def ruth_from_doc(doc: dict) -> Ruth:
-    G = groupoid_from_doc(doc["groupoid"])
-    oidx = {name: i for i, name in enumerate(G.objects)}
-    dims = {oidx[name]: tuple(v) for name, v in doc["dims"].items()}
-    E = GradedBundle(G, dims)
-    ops: dict = {}
-    for entry in doc.get("operators", []):
-        m = entry["m"]
-        s = G.nerve_level(m)[entry["simplex"]]
-        table = ops.setdefault((m, s), {})
-        table[entry["degree"]] = mat_from_json(entry["matrix"], f"operator m={m}")
-    return Ruth(E, ops, m_cap=doc.get("mcap"))
+    with _reading("ruth"):
+        G = groupoid_from_doc(doc["groupoid"])
+        oidx = {name: i for i, name in enumerate(G.objects)}
+        E = GradedBundle(G, {oidx[name]: tuple(v) for name, v in doc["dims"].items()})
+        ops: dict = {}
+        for entry in doc.get("operators", []):
+            m = entry["m"]
+            s = G.nerve_level(m)[entry["simplex"]]
+            table = ops.setdefault((m, s), {})
+            table[entry["degree"]] = mat_from_json(entry["matrix"], f"operator m={m}")
+        m_cap = doc.get("mcap")
+    return Ruth(E, ops, m_cap=m_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -201,33 +220,44 @@ def svb_to_doc(V: SimpVB) -> dict:
     }
 
 
+def _structure_mats(G: FinGroupoid, table: dict, levels, step: int, gradings: dict, name: str):
+    """Face (step -1) or degeneracy (step +1) matrices keyed (n, index, simplex).
+
+    Shapes come from the fibers, because an empty array stands for every
+    0 x c matrix.
+    """
+    move = G.face if step < 0 else G.degeneracy
+    mats = {}
+    for n in levels:
+        for s, entries in _per_simplex(G, n, table[str(n)]):
+            if len(entries) != n + 1:
+                raise ValueError(f"{name} at level {n} needs {n + 1} matrices, got {len(entries)}")
+            for i, rows in enumerate(entries):
+                where = f"{name} n={n} i={i}"
+                shape = (gradings[(n + step, move(s, i))].total, gradings[(n, s)].total)
+                mat = mat_from_json(rows, where)
+                if mat.rows == 0:
+                    mat = RatMat.zeros(0, shape[1])
+                if (mat.rows, mat.cols) != shape:
+                    raise ValueError(f"{where} is {mat.rows}x{mat.cols}, not {shape[0]}x{shape[1]}")
+                mats[(n, i, s)] = mat
+    return mats
+
+
 def svb_from_doc(doc: dict) -> SimpVB:
     from .graded import BlockMap
 
-    G = groupoid_from_doc(doc["groupoid"])
-    L = doc["L"]
-    gradings = {}
-    for n_str, level in doc["fibers"].items():
-        n = int(n_str)
-        for idx, blocks in enumerate(level):
-            labels = tuple(b[0] for b in blocks)
-            dims = tuple(b[1] for b in blocks)
-            gradings[(n, G.nerve_level(n)[idx])] = Grading(labels, dims)
-
-    face_mats = {}
-    for n_str, level in doc.get("faces", {}).items():
-        n = int(n_str)
-        for idx, mats in enumerate(level):
-            s = G.nerve_level(n)[idx]
-            for i, rows in enumerate(mats):
-                face_mats[(n, i, s)] = mat_from_json(rows, f"face n={n} i={i}")
-    deg_mats = {}
-    for n_str, level in doc.get("degeneracies", {}).items():
-        n = int(n_str)
-        for idx, mats in enumerate(level):
-            s = G.nerve_level(n)[idx]
-            for j, rows in enumerate(mats):
-                deg_mats[(n, j, s)] = mat_from_json(rows, f"degeneracy n={n} j={j}")
+    with _reading("svb"):
+        G = groupoid_from_doc(doc["groupoid"])
+        L = doc["L"]
+        gradings = {}
+        for n in range(L + 1):
+            for s, blocks in _per_simplex(G, n, doc["fibers"][str(n)]):
+                gradings[(n, s)] = Grading(tuple(b[0] for b in blocks), tuple(b[1] for b in blocks))
+        face_mats = _structure_mats(G, doc.get("faces", {}), range(1, L + 1), -1, gradings, "face")
+        deg_mats = _structure_mats(G, doc.get("degeneracies", {}), range(L), 1, gradings,
+                                   "degeneracy")
+        kind = doc.get("kind_hint", "generic")
 
     def grading(n, s):
         return gradings[(n, s)]
@@ -238,7 +268,7 @@ def svb_from_doc(doc: dict) -> SimpVB:
     def deg(n, j, s):
         return BlockMap.from_dense(grading(n, s), grading(n + 1, G.degeneracy(s, j)), deg_mats[(n, j, s)])
 
-    return SimpVB(G, L, grading, face, deg, kind=doc.get("kind_hint", "generic"))
+    return SimpVB(G, L, grading, face, deg, kind=kind)
 
 
 def cleavage_to_doc(V: SimpVB, C: Cleavage) -> dict:
@@ -252,14 +282,14 @@ def cleavage_to_doc(V: SimpVB, C: Cleavage) -> dict:
 
 
 def cleavage_from_doc(V: SimpVB, doc: dict) -> Cleavage:
-    G = V.base
     table = {}
-    for n_str, level in doc["fibers"].items():
-        n = int(n_str)
-        for idx, rows in enumerate(level):
-            s = G.nerve_level(n)[idx]
-            mat = mat_from_json(rows, f"cleavage n={n}")
-            table[(n, s)] = Subspace.from_rows(V.fiber_dim(n, s), mat.data)
+    with _reading("cleavage"):
+        for n in range(1, V.L + 1):
+            for s, rows in _per_simplex(V.base, n, doc["fibers"][str(n)]):
+                mat = mat_from_json(rows, f"cleavage n={n}")
+                if mat.rows and mat.cols != V.fiber_dim(n, s):
+                    raise ValueError(f"cleavage n={n} has rows of length {mat.cols}")
+                table[(n, s)] = Subspace.from_rows(V.fiber_dim(n, s), mat.data)
     return explicit_cleavage(V, table, name="loaded")
 
 

@@ -4,7 +4,9 @@ The preferred inverse indexes level n by the injective order maps out of [k]
 into [n] that preserve 0 (encoded as bitmasks); the classical inverse indexes
 it by the surjections [n] ->> [k].  Both are built as block-structured
 simplicial vector spaces so that identity checks compose index transports
-rather than dense matrices.
+rather than dense matrices.  A simplicial vector space is a SimpVB over
+POINT, the point groupoid, where the relative correspondence is the classical
+one; the flat-cleavage check reuses the bundle witness space.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from functools import lru_cache
 from .errors import ValidationError
 from .exactla import Fr, ONE, RatMat, Subspace, image, solve_matrix
 from .graded import BlockMap, Grading
+from .groupoid import POINT
 from .ordmaps import (
     d0_row,
     transport_degeneracy_table,
     transport_face_table,
     zero_mono_masks,
 )
-from .simplicial import face_kernel
+from .simplicial import face_kernel, horn_dim, horn_map_dense
+from .svb import Cleavage, SimpVB, _witness_space
 
 
 class ChainComplex:
@@ -79,90 +83,24 @@ def half_twist_sign(n: int) -> Fraction:
     return Fr(-1) if (n * (n - 1) // 2) % 2 else Fr(1)
 
 
-class SimpVS:
-    """Truncated simplicial vector space with cached block-structured operators."""
-
-    def __init__(self, L: int, grading_fn, face_fn, deg_fn, kind: str = "generic"):
-        self.L = L
-        self.kind = kind
-        self._grading_fn = grading_fn
-        self._face_fn = face_fn
-        self._deg_fn = deg_fn
-        self._gradings: dict[int, Grading] = {}
-        self._faces: dict[tuple[int, int], BlockMap] = {}
-        self._degs: dict[tuple[int, int], BlockMap] = {}
-
-    # fiber-complex interface (single anonymous fiber per level)
-    def level_keys(self, n: int):
-        return (None,)
-
-    def face_key(self, n: int, key, i: int):
-        return None
-
-    def deg_key(self, n: int, key, j: int):
-        return None
-
-    def grading(self, n: int, key=None) -> Grading:
-        g = self._gradings.get(n)
-        if g is None:
-            g = self._gradings[n] = self._grading_fn(n)
-        return g
-
-    def face(self, n: int, i: int, key=None) -> BlockMap:
-        m = self._faces.get((n, i))
-        if m is None:
-            m = self._faces[(n, i)] = self._face_fn(n, i)
-        return m
-
-    def deg(self, n: int, j: int, key=None) -> BlockMap:
-        m = self._degs.get((n, j))
-        if m is None:
-            m = self._degs[(n, j)] = self._deg_fn(n, j)
-        return m
-
-    def dim(self, n: int) -> int:
-        return self.grading(n).total
-
-
-def from_dense_matrices(L, dims, faces, degs) -> SimpVS:
-    """Generic single-block simplicial vector space from dense matrices."""
-
-    def grading(n):
-        return Grading.single(dims[n])
-
-    def face(n, i):
-        return BlockMap.from_dense(grading(n), grading(n - 1), faces[(n, i)])
-
-    def deg(n, j):
-        return BlockMap.from_dense(grading(n), grading(n + 1), degs[(n, j)])
-
-    return SimpVS(L, grading, face, deg)
-
-
-def constant_simp_vs(dim: int, L: int) -> SimpVS:
-    g = Grading.single(dim)
-    ident = BlockMap.identity(g)
-    return SimpVS(L, lambda n: g, lambda n, i: ident, lambda n, j: ident)
-
-
 # ---------------------------------------------------------------------------
 # The 0-preserving-mono inverse.
 # ---------------------------------------------------------------------------
 
 
-def dk(Y: ChainComplex, L: int | None = None) -> SimpVS:
+def dk(Y: ChainComplex, L: int | None = None) -> SimpVB:
     """Simplicial vector space on the 0-preserving mono indices of Y."""
     if L is None:
         L = Y.max_degree + 3
 
-    def grading(n):
+    def grading(n, s=None):
         masks = zero_mono_masks(n)
         return Grading(masks, tuple(Y.dim(bin(m).count("1") - 1) for m in masks))
 
-    def face(n, i):
+    def face(n, i, s=None):
         src, dst = grading(n), grading(n - 1)
         if i > 0:
-            return BlockMap.transport(src, dst, [(b, s, 1) for b, s in transport_face_table(n, i)])
+            return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_face_table(n, i)])
         # the semi-direct-product row over a point: identities for Case II and
         # m = 1, the boundary for m = 0 (its (-1)^l is exactly sign_flip, so
         # it is dropped here), and no higher operators
@@ -179,11 +117,11 @@ def dk(Y: ChainComplex, L: int | None = None) -> SimpVS:
                     blocks[(beta, term.source_mask)] = Y.d(bin(term.source_mask).count("1") - 1)
         return BlockMap(src, dst, blocks)
 
-    def deg(n, j):
+    def deg(n, j, s=None):
         src, dst = grading(n), grading(n + 1)
-        return BlockMap.transport(src, dst, [(b, s, 1) for b, s in transport_degeneracy_table(n, j)])
+        return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_degeneracy_table(n, j)])
 
-    return SimpVS(L, grading, face, deg, kind="dk")
+    return SimpVB(POINT, L, grading, face, deg, kind="dk")
 
 
 def dk_sign_iso(Y: ChainComplex, L: int) -> dict[int, BlockMap]:
@@ -226,16 +164,16 @@ def surjection_labels(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVS:
+def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVB:
     """The popular inverse with level n indexed by surjections out of [n]."""
     if L is None:
         L = Y.max_degree + 3
 
-    def grading(n):
+    def grading(n, s=None):
         labels = surjection_labels(n)
         return Grading(labels, tuple(Y.dim(lab[-1]) for lab in labels))
 
-    def face(n, i):
+    def face(n, i, s=None):
         src, dst = grading(n), grading(n - 1)
         blocks = {}
         for alpha in surjection_labels(n):
@@ -252,7 +190,7 @@ def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVS:
                     blocks[(beta, alpha)] = Y.d(k)
         return BlockMap(src, dst, blocks)
 
-    def deg(n, j):
+    def deg(n, j, s=None):
         src, dst = grading(n), grading(n + 1)
         blocks = {}
         for alpha in surjection_labels(n):
@@ -260,7 +198,7 @@ def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVS:
             blocks[(img, alpha)] = Fr(1)
         return BlockMap(src, dst, blocks)
 
-    return SimpVS(L, grading, face, deg, kind="dk_classic")
+    return SimpVB(POINT, L, grading, face, deg, kind="dk_classic")
 
 
 def mono_epi_duality(n: int) -> dict[int, tuple[int, ...]]:
@@ -301,7 +239,7 @@ class Normalization:
         return ChainComplex(self.dims, self.boundary)
 
 
-def normalize(X: SimpVS, up_to: int | None = None) -> Normalization:
+def normalize(X: SimpVB, up_to: int | None = None) -> Normalization:
     """Intersection of the positive face kernels with differential d_0.
 
     Assumes X satisfies the simplicial identities; run
@@ -329,7 +267,7 @@ def normalize(X: SimpVS, up_to: int | None = None) -> Normalization:
     return result
 
 
-def degenerate_span(X: SimpVS, n: int) -> Subspace:
+def degenerate_span(X: SimpVB, n: int) -> Subspace:
     """Span of the images of all degeneracies hitting level n."""
     g = X.grading(n)
     if n == 0:
@@ -382,7 +320,7 @@ def chain_iso_onto(norm: Normalization, Y: ChainComplex, projection) -> dict[int
     return out
 
 
-def dk_projection(X: SimpVS, n: int) -> RatMat:
+def dk_projection(X: SimpVB, n: int) -> RatMat:
     """Dense matrix of the top-index component of level n for either inverse model."""
     g = X.grading(n)
     if X.kind == "dk":
@@ -399,7 +337,7 @@ def dk_projection(X: SimpVS, n: int) -> RatMat:
     return out
 
 
-def normalization_roundtrip(Y: ChainComplex, X: SimpVS, up_to: int | None = None):
+def normalization_roundtrip(Y: ChainComplex, X: SimpVB, up_to: int | None = None):
     """normalize(X) together with a constructed exact isomorphism onto Y."""
     norm = normalize(X, up_to=up_to)
     iso = chain_iso_onto(norm, Y, lambda n: dk_projection(X, n))
@@ -430,10 +368,8 @@ class FlatCleavageReport:
         return all(c.passed for c in self.horn_iso + self.flatness + self.order_equivalence)
 
 
-def check_unique_flat_cleavage(X: SimpVS) -> FlatCleavageReport:
+def check_unique_flat_cleavage(X: SimpVB) -> FlatCleavageReport:
     """Verify the degenerate span is a normal flat cleavage and the order criterion."""
-    from .simplicial import horn_dim, horn_map_dense
-
     norm = normalize(X)
     spans = {n: degenerate_span(X, n) for n in range(X.L + 1)}
     horn_iso = []
@@ -447,8 +383,10 @@ def check_unique_flat_cleavage(X: SimpVS) -> FlatCleavageReport:
             ok = rk == D.dim == hd
             horn_iso.append(LevelCheck(n, k, ok, f"rank {rk}, dim D {D.dim}, horn {hd}"))
     flatness = []
+    C = Cleavage(X, basis_fn=lambda n, s: spans[n])
     for n in range(2, X.L + 1):
-        W = _flat_witness_space(X, spans, n)
+        # {w in D_n : every prefix and every face d_i, i > 0, of w lies in D}
+        W = _witness_space(X, C, n, None, zero_section=False, include_faces=True)
         img = image(X.face(n, 0).to_dense(), W)
         ok = all(spans[n - 1].contains(row) for row in img.mat.data)
         flatness.append(LevelCheck(n, 0, ok, f"witness dim {W.dim}"))
@@ -464,25 +402,3 @@ def check_unique_flat_cleavage(X: SimpVS) -> FlatCleavageReport:
             LevelCheck(n, -1, unique == (norm.dims[n] == 0), f"NX dim {norm.dims[n]}")
         )
     return FlatCleavageReport(horn_iso, flatness, order_equiv)
-
-
-def _flat_witness_space(X: SimpVS, spans: dict[int, Subspace], n: int) -> Subspace:
-    """{w in D_n : s_k w in D_k for k>0, d_i w in D_{n-1} for i>0}."""
-    from .exactla import intersect, preimage
-
-    W = spans[n]
-    for k in range(1, n):
-        s_k = restriction_to_prefix(X, n, k)
-        W = intersect(W, preimage(s_k, spans[k]))
-    for i in range(1, n + 1):
-        W = intersect(W, preimage(X.face(n, i).to_dense(), spans[n - 1]))
-    return W
-
-
-def restriction_to_prefix(X: SimpVS, n: int, k: int) -> RatMat:
-    """Dense matrix of the prefix restriction X_n -> X_k (drop top vertices)."""
-    mat = None
-    for m in range(n, k, -1):
-        f = X.face(m, m).to_dense()
-        mat = f if mat is None else f @ mat
-    return mat if mat is not None else RatMat.identity(X.dim(n))

@@ -505,10 +505,6 @@ def sparse_kernel_basis(rows: list[dict[int, Fraction]], nvars: int) -> list[dic
     return basis
 
 
-def sparse_nullity(rows: list[dict[int, Fraction]], nvars: int) -> int:
-    return nvars - sparse_rank(rows, nvars)
-
-
 def dense_rows_from_sparse(vecs: list[dict[int, Fraction]], nvars: int) -> list[list[Fraction]]:
     out = []
     for v in vecs:

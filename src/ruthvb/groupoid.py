@@ -4,7 +4,8 @@ A FinGroupoid is validated exhaustively at construction (units, inverses,
 associativity, closure of the composition table).  Nerve levels are memoized
 per instance; their enumeration order is ascending lexicographic in the arrow
 id tuple (g_1, ..., g_n) and is part of the public contract, since every
-bundle fiber downstream is keyed by it.
+bundle fiber downstream is keyed by it.  POINT is the one-simplex nerve over
+which simplicial vector spaces live.
 """
 
 from __future__ import annotations
@@ -193,6 +194,26 @@ class FinGroupoid:
 
     def __repr__(self):
         return f"FinGroupoid({self.name or 'anon'}: {self.n_objects} objects, {self.n_arrows} arrows)"
+
+
+class _Point:
+    """The nerve of the point: one simplex, None, at every level.
+
+    A simplicial vector space is a bundle over POINT, so keyless calls such
+    as X.face(n, i) address its single fiber per level.
+    """
+
+    def nerve_level(self, n: int) -> tuple[None]:
+        return (None,)
+
+    def face(self, s: None, i: int) -> None:
+        return None
+
+    def degeneracy(self, s: None, j: int) -> None:
+        return None
+
+
+POINT = _Point()
 
 
 # ---------------------------------------------------------------------------

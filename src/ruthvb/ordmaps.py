@@ -47,13 +47,6 @@ class OrdMap:
     def preserves_zero(self) -> bool:
         return self.images[0] == 0
 
-    def image_mask(self) -> int:
-        """Bitmask of the image set (collapses repeats)."""
-        m = 0
-        for v in self.images:
-            m |= 1 << v
-        return m
-
 
 def identity(n: int) -> OrdMap:
     return OrdMap(n, n, tuple(range(n + 1)))
@@ -178,17 +171,6 @@ def drop_rank(mask: int, i: int) -> int:
     # m's lowest set bit is the element of rank i
     low = m & -m
     return mask ^ low
-
-
-def prefix_mask(mask: int, count: int) -> int:
-    """Keep the `count` lowest elements of the set."""
-    m = mask
-    out = 0
-    for _ in range(count):
-        low = m & -m
-        out |= low
-        m ^= low
-    return out
 
 
 def delta_on_mask(i: int, mask: int) -> int:

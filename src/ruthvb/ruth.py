@@ -44,9 +44,6 @@ class GradedBundle:
     def degrees(self):
         return range(self.N + 1)
 
-    def total_dim(self, x: int) -> int:
-        return sum(self.dim(x, k) for k in self.degrees())
-
     def same_dims_everywhere(self) -> bool:
         rows = {tuple(self.dim(x, k) for k in self.degrees()) for x in range(self.G.n_objects)}
         return len(rows) <= 1

@@ -269,15 +269,6 @@ def lift_morphism(psi: RuthMorphism, Vs: SimpVB | None = None, Vt: SimpVB | None
     return BundleMap(Vs, Vt, fn, name="lift")
 
 
-def gauge_lift(V: SdpBundle, psi: GaugeData) -> BundleMap:
-    """The lift formula applied to bare gauge data; needs no target tower."""
-
-    def fn(n, s):
-        return _lift_block_map(V, V, psi.block, n, s)
-
-    return BundleMap(V, V, fn, name="gauge-lift")
-
-
 def twisted_cleavage(V: SdpBundle, psi: GaugeData) -> Cleavage:
     """Preimage of the canonical cleavage under the gauge lift, as an equation form."""
     E = V.E

@@ -1,16 +1,8 @@
-"""Generic verification helpers for truncated simplicial objects in vector spaces.
+"""Generic verification helpers for truncated simplicial vector bundles.
 
-Works against any object exposing the small fiber-complex interface:
-
-    L                      truncation level
-    level_keys(n)          iterable of fiber keys at level n
-    grading(n, key)        Grading of the fiber
-    face(n, i, key)        BlockMap fiber(n,key) -> fiber(n-1, face_key(n,key,i))
-    deg(n, j, key)         BlockMap fiber(n,key) -> fiber(n+1, deg_key(n,key,j))
-    face_key / deg_key     key bookkeeping in the base
-
-Simplicial vector spaces use a single None key per level; bundles over a
-nerve use the nerve simplices.  All checks are exact.
+Every helper takes a SimpVB and walks its base through base.nerve_level,
+base.face and base.degeneracy.  Simplicial vector spaces are bundles over
+POINT, whose single simplex per level is None.  All checks are exact.
 """
 
 from __future__ import annotations
@@ -50,11 +42,11 @@ def verify_simplicial_identities(fc, levels=None, max_violations: int = 10) -> I
             report.violations.append(Violation(name, n, key, idx))
 
     for n in levels:
-        for key in fc.level_keys(n):
+        for key in fc.base.nerve_level(n):
             # d_i d_j = d_{j-1} d_i  (i < j), needs n >= 2
             if n >= 2:
                 faces = {i: fc.face(n, i, key) for i in range(n + 1)}
-                fkeys = {i: fc.face_key(n, key, i) for i in range(n + 1)}
+                fkeys = {i: fc.base.face(key, i) for i in range(n + 1)}
                 for j in range(1, n + 1):
                     for i in range(j):
                         lhs = fc.face(n - 1, i, fkeys[j]).compose(faces[j])
@@ -65,18 +57,18 @@ def verify_simplicial_identities(fc, levels=None, max_violations: int = 10) -> I
             # d_i u_j, needs level n+1 <= L
             if n + 1 <= fc.L:
                 degs = {j: fc.deg(n, j, key) for j in range(n + 1)}
-                dkeys = {j: fc.deg_key(n, key, j) for j in range(n + 1)}
+                dkeys = {j: fc.base.degeneracy(key, j) for j in range(n + 1)}
                 for j in range(n + 1):
                     for i in range(n + 2):
                         lhs = fc.face(n + 1, i, dkeys[j]).compose(degs[j])
                         if i == j or i == j + 1:
                             rhs = BlockMap.identity(fc.grading(n, key))
                         elif i < j:
-                            rhs = fc.deg(n - 1, j - 1, fc.face_key(n, key, i)).compose(
+                            rhs = fc.deg(n - 1, j - 1, fc.base.face(key, i)).compose(
                                 fc.face(n, i, key)
                             )
                         else:
-                            rhs = fc.deg(n - 1, j, fc.face_key(n, key, i - 1)).compose(
+                            rhs = fc.deg(n - 1, j, fc.base.face(key, i - 1)).compose(
                                 fc.face(n, i - 1, key)
                             )
                         report.checked += 1
@@ -86,10 +78,10 @@ def verify_simplicial_identities(fc, levels=None, max_violations: int = 10) -> I
             if n + 2 <= fc.L:
                 for j in range(n + 1):
                     uj = fc.deg(n, j, key)
-                    kj = fc.deg_key(n, key, j)
+                    kj = fc.base.degeneracy(key, j)
                     for i in range(j + 1):
                         lhs = fc.deg(n + 1, i, kj).compose(uj)
-                        rhs = fc.deg(n + 1, j + 1, fc.deg_key(n, key, i)).compose(
+                        rhs = fc.deg(n + 1, j + 1, fc.base.degeneracy(key, i)).compose(
                             fc.deg(n, i, key)
                         )
                         report.checked += 1
@@ -129,7 +121,7 @@ class HornSystem:
 
 def horn_system(fc, n: int, k: int, key) -> HornSystem:
     slots = tuple(j for j in range(n + 1) if j != k)
-    gradings = tuple(fc.grading(n - 1, fc.face_key(n, key, j)) for j in slots)
+    gradings = tuple(fc.grading(n - 1, fc.base.face(key, j)) for j in slots)
     offsets = []
     t = 0
     for g in gradings:
@@ -139,13 +131,13 @@ def horn_system(fc, n: int, k: int, key) -> HornSystem:
     rows: list[dict[int, Fraction]] = []
     if n >= 2:
         for j in slots:
-            kj = fc.face_key(n, key, j)
+            kj = fc.base.face(key, j)
             for i in slots:
                 if i >= j:
                     continue
                 # d_i(v_j) = d_{j-1}(v_i)
                 a = fc.face(n - 1, i, kj).sparse_rows()
-                b = fc.face(n - 1, j - 1, fc.face_key(n, key, i)).sparse_rows()
+                b = fc.face(n - 1, j - 1, fc.base.face(key, i)).sparse_rows()
                 oj = offsets[slot_pos[j]]
                 oi = offsets[slot_pos[i]]
                 for ra, rb in zip(a, b):

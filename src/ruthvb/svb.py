@@ -1,12 +1,13 @@
 """Simplicial vector bundles over a nerve: fibrations, cores, cleavages, cohomology.
 
 Fibers are block-graded; faces and degeneracies are BlockMaps between fibers
-over the corresponding nerve restrictions.  Every flatness condition here is
-decided as a subspace containment: the conditions quantify over infinitely
-many vectors but are linear, so exact linear algebra settles them.  That one
-observation is what makes the whole checker suite terminate.  Bundles are
-immutable after construction; checks parallelize over fibers in principle and
-only share write-once caches.
+over the corresponding nerve restrictions.  SimpVB is the one memoized fiber
+complex: a simplicial vector space is a SimpVB over POINT.  Every flatness
+condition here is decided as a subspace containment: the conditions quantify
+over infinitely many vectors but are linear, so exact linear algebra settles
+them.  That one observation is what makes the whole checker suite terminate.
+Bundles are immutable after construction; checks parallelize over fibers in
+principle and only share write-once caches.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ from .simplicial import face_kernel, horn_dim
 
 
 class SimpVB:
-    """A truncated simplicial vector bundle over the nerve of a finite groupoid."""
+    """A truncated simplicial vector bundle over the nerve of a finite groupoid.
+
+    Over POINT it is a simplicial vector space: every simplex is None, which
+    is the default of the simplex argument, so X.face(n, i) needs no key.
+    """
 
     def __init__(self, base: FinGroupoid, L: int, grading_fn, face_fn, deg_fn, kind="generic"):
         self.base = base
@@ -44,39 +49,31 @@ class SimpVB:
         self._faces: dict = {}
         self._degs: dict = {}
 
-    # fiber-complex interface
-    def level_keys(self, n: int):
-        return self.base.nerve_level(n)
-
-    def face_key(self, n: int, s: NerveSimplex, i: int) -> NerveSimplex:
-        return self.base.face(s, i)
-
-    def deg_key(self, n: int, s: NerveSimplex, j: int) -> NerveSimplex:
-        return self.base.degeneracy(s, j)
-
-    def grading(self, n: int, s: NerveSimplex) -> Grading:
+    def grading(self, n: int, s: NerveSimplex | None = None) -> Grading:
         key = (n, s)
         g = self._gradings.get(key)
         if g is None:
             g = self._gradings[key] = self._grading_fn(n, s)
         return g
 
-    def face(self, n: int, i: int, s: NerveSimplex) -> BlockMap:
+    def face(self, n: int, i: int, s: NerveSimplex | None = None) -> BlockMap:
         key = (n, i, s)
         m = self._faces.get(key)
         if m is None:
             m = self._faces[key] = self._face_fn(n, i, s)
         return m
 
-    def deg(self, n: int, j: int, s: NerveSimplex) -> BlockMap:
+    def deg(self, n: int, j: int, s: NerveSimplex | None = None) -> BlockMap:
         key = (n, j, s)
         m = self._degs.get(key)
         if m is None:
             m = self._degs[key] = self._deg_fn(n, j, s)
         return m
 
-    def fiber_dim(self, n: int, s: NerveSimplex) -> int:
+    def fiber_dim(self, n: int, s: NerveSimplex | None = None) -> int:
         return self.grading(n, s).total
+
+    dim = fiber_dim
 
     def restrict_map(self, n: int, s: NerveSimplex, verts) -> tuple[BlockMap, NerveSimplex]:
         """Restriction to a vertex subset as a composite of faces.
@@ -100,21 +97,6 @@ class SimpVB:
     def prefix_map(self, n: int, s: NerveSimplex, k: int) -> tuple[BlockMap, NerveSimplex]:
         """Restriction to the first k+1 vertices."""
         return self.restrict_map(n, s, range(k + 1))
-
-
-def from_matrix_tables(base, L, fiber_dims, face_mats, deg_mats) -> SimpVB:
-    """Generic single-block bundle from dense matrix tables keyed by simplex."""
-
-    def grading(n, s):
-        return Grading.single(fiber_dims[(n, s)])
-
-    def face(n, i, s):
-        return BlockMap.from_dense(grading(n, s), grading(n - 1, base.face(s, i)), face_mats[(n, i, s)])
-
-    def deg(n, j, s):
-        return BlockMap.from_dense(grading(n, s), grading(n + 1, base.degeneracy(s, j)), deg_mats[(n, j, s)])
-
-    return SimpVB(base, L, grading, face, deg)
 
 
 def pullback_svb(X, base: FinGroupoid, L: int | None = None) -> SimpVB:
@@ -283,10 +265,6 @@ def explicit_cleavage(V: SimpVB, table: dict, fallback: Cleavage | None = None, 
         raise KeyError(f"no cleavage fiber for level {n}, simplex {s}")
 
     return Cleavage(V, basis_fn=basis, name=name)
-
-
-def functional_kernel_cleavage(V: SimpVB, rows_fn, name="kernel") -> Cleavage:
-    return Cleavage(V, equations_fn=rows_fn, name=name)
 
 
 @dataclass

@@ -13,9 +13,10 @@ from ruthvb.cli import main
 from ruthvb.doldkan import ChainComplex
 from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat
-from ruthvb.groupoid import pair_groupoid
-from ruthvb.ruth import check_rh2, gauge_twist, twisted_ruth_direct
+from ruthvb.groupoid import pair_groupoid, unit_groupoid
+from ruthvb.ruth import chain_complex_ruth, check_rh2, gauge_twist, twisted_ruth_direct
 from ruthvb.sdp import build_sdp
+from ruthvb.simplicial import verify_simplicial_identities
 
 
 def test_rational_strings():
@@ -68,6 +69,55 @@ def test_svb_and_cleavage_doc_roundtrip():
 
     rep = check_cleavage(V, C, check_interior=False)
     assert rep.bijective and rep.normal and rep.weakly_flat
+
+
+@pytest.mark.parametrize("make_tower", [
+    lambda: chain_complex_ruth(unit_groupoid(1), ChainComplex((0, 1), {})),
+    lambda: random_strict_ruth(pair_groupoid(2), random.Random(1), (0, 1)),
+], ids=["unit(1)-dims(0,1)", "pair(2)-dims(0,1)"])
+def test_svb_doc_roundtrip_zero_dim_fibers(make_tower):
+    """A 0 x c face matrix is written as [] and must reload as 0 x c, not 0 x 0."""
+    B = build_sdp(make_tower(), 3)
+    assert any(B.fiber_dim(0, s) == 0 for s in B.base.nerve_level(0))
+    text = docs.canonical_dumps(docs.svb_to_doc(B))
+    V = docs.svb_from_doc(json.loads(text))
+    assert docs.canonical_dumps(docs.svb_to_doc(V)) == text
+    assert verify_simplicial_identities(V).ok
+
+
+def _drop_L(svb, cleavage, ruth):
+    del svb["L"]
+    return ["validate", "svb", "svb.json"]
+
+
+def _drop_fibers(svb, cleavage, ruth):
+    del svb["fibers"]
+    return ["validate", "svb", "svb.json"]
+
+
+def _simplex_out_of_range(svb, cleavage, ruth):
+    ruth["operators"][0]["simplex"] = 99
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _extra_cleavage_fiber(svb, cleavage, ruth):
+    cleavage["fibers"]["1"].append(cleavage["fibers"]["1"][0])
+    return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
+                                     _extra_cleavage_fiber])
+def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
+    """README promises exit code 2 on a malformed document, not a traceback."""
+    R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))
+    B = build_sdp(R, 3)
+    svb, ruth = docs.svb_to_doc(B), docs.ruth_to_doc(R)
+    cleavage = docs.cleavage_to_doc(B, B.canonical_cleavage())
+    argv = corrupt(svb, cleavage, ruth)
+    monkeypatch.chdir(tmp_path)
+    for name, doc in (("svb.json", svb), ("cleavage.json", cleavage), ("ruth.json", ruth)):
+        docs.save_document(name, doc)
+    assert main(["--quiet"] + argv) == 2
 
 
 @pytest.fixture()

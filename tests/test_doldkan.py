@@ -20,7 +20,7 @@ from ruthvb.doldkan import (
     surjection_labels,
 )
 from ruthvb.errors import ValidationError
-from ruthvb.exactla import RatMat, Subspace, kernel
+from ruthvb.exactla import RatMat, Subspace, intersect, kernel, preimage
 from ruthvb.graded import BlockMap
 from ruthvb.ordmaps import zero_mono_masks
 from ruthvb.simplicial import (
@@ -31,6 +31,7 @@ from ruthvb.simplicial import (
     horn_space_basis,
     verify_simplicial_identities,
 )
+from ruthvb.svb import Cleavage, _witness_space
 
 TWO_STEP = ChainComplex((1, 2, 1), {1: RatMat.from_rows([[1, 0]]), 2: RatMat.from_rows([[0], [1]])})
 
@@ -153,6 +154,34 @@ def test_check_unique_flat_cleavage():
         X = dk(Y, Y.max_degree + 2)
         rep = check_unique_flat_cleavage(X)
         assert rep.ok
+
+
+def _reference_flat_witness(X, spans, n):
+    """{w in D_n : s_k w in D_k for 0 < k < n, d_i w in D_{n-1} for i > 0} by preimages."""
+    W = spans[n]
+    for k in range(1, n):
+        prefix = RatMat.identity(X.dim(n))
+        for m in range(n, k, -1):
+            prefix = X.face(m, m).to_dense() @ prefix
+        W = intersect(W, preimage(prefix, spans[k]))
+    for i in range(1, n + 1):
+        W = intersect(W, preimage(X.face(n, i).to_dense(), spans[n - 1]))
+    return W
+
+
+def test_flat_witness_matches_preimage_reference():
+    rng = random.Random(3)
+    for _ in range(3):
+        Y = random_chain_complex(rng, max_degree=3, max_dim=2)
+        X = dk(Y, Y.max_degree + 2)
+        spans = {n: degenerate_span(X, n) for n in range(X.L + 1)}
+        D = Cleavage(X, basis_fn=lambda n, s: spans[n])
+        refs = {n: _reference_flat_witness(X, spans, n) for n in range(2, X.L + 1)}
+        for n, ref in refs.items():
+            W = _witness_space(X, D, n, None, zero_section=False, include_faces=True)
+            assert W == ref
+        rep = check_unique_flat_cleavage(X)
+        assert [c.detail for c in rep.flatness] == [f"witness dim {refs[n].dim}" for n in refs]
 
 
 def test_trivial_complex_everything_degenerate():
