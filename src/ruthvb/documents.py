@@ -173,6 +173,8 @@ def ruth_from_doc(doc: dict) -> Ruth:
         ops: dict = {}
         for entry in doc.get("operators", []):
             m = entry["m"]
+            if entry["simplex"] < 0:  # Python would wrap it around
+                raise IndexError(f"negative simplex index {entry['simplex']}")
             s = G.nerve_level(m)[entry["simplex"]]
             table = ops.setdefault((m, s), {})
             table[entry["degree"]] = mat_from_json(entry["matrix"], f"operator m={m}")

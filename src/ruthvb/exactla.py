@@ -199,16 +199,7 @@ def solve_unique(A: RatMat, b) -> tuple[Fraction, ...]:
     Raises NoSolutionError when b is outside the column space and
     NonUniqueSolutionError when the kernel is nontrivial.
     """
-    aug = RatMat.hstack([A, RatMat.col_vector(list(b))])
-    red, piv = aug.rref()
-    if any(p == A.cols for p in piv):
-        raise NoSolutionError("right-hand side outside the column space")
-    if len(piv) < A.cols:
-        raise NonUniqueSolutionError("kernel is nontrivial")
-    x = [ZERO] * A.cols
-    for r, c in enumerate(piv):
-        x[c] = red.data[r][A.cols]
-    return tuple(x)
+    return solve_matrix(A, RatMat.col_vector(list(b))).col(0)
 
 
 def left_solver(M: RatMat) -> RatMat:
@@ -298,12 +289,7 @@ class Subspace:
 
     def coordinates(self, vec) -> tuple[Fraction, ...]:
         """Coefficients of vec in the basis rows; raises if not a member."""
-        return solve_unique(self.mat.transpose(), list(vec)) if self.dim else self._assert_zero(vec)
-
-    def _assert_zero(self, vec):
-        if any(Fr(x) for x in vec):
-            raise NoSolutionError("vector outside the zero subspace")
-        return ()
+        return solve_unique(self.mat.transpose(), list(vec))
 
     def equations(self) -> RatMat:
         """Rows N with S = {x : N x = 0}."""
@@ -347,44 +333,22 @@ def preimage(A: RatMat, S: Subspace) -> Subspace:
 
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:
-    return zassenhaus(S, T)[1]
+    """S ∩ T: the common solutions of both equation forms."""
+    return kernel(RatMat.vstack([S.equations(), T.equations()]))
 
 
 def sum_subspaces(S: Subspace, T: Subspace) -> Subspace:
-    return zassenhaus(S, T)[0]
-
-
-def zassenhaus(S: Subspace, T: Subspace) -> tuple[Subspace, Subspace]:
-    """(S + T, S ∩ T) from one echelon pass over the doubled block matrix."""
+    """S + T: the span of both bases."""
     if S.ambient != T.ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    n = S.ambient
-    rows = []
-    for r in S.mat.data:
-        rows.append(r + r)
-    for r in T.mat.data:
-        rows.append(r + [ZERO] * n)
-    if not rows:
-        return Subspace.zero(n), Subspace.zero(n)
-    red, piv = RatMat.from_rows(rows, 2 * n).rref()
-    sum_rows, int_rows = [], []
-    for i in range(red.rows):
-        left = red.data[i][:n]
-        right = red.data[i][n:]
-        if any(left):
-            sum_rows.append(left)
-        elif any(right):
-            int_rows.append(right)
-    return Subspace.from_rows(n, sum_rows), Subspace.from_rows(n, int_rows)
+    return Subspace.from_rows(S.ambient, S.mat.data + T.mat.data)
 
 
 def is_complement(S: Subspace, T: Subspace, ambient: int) -> bool:
-    """True when S ∩ T = {0} and dim S + dim T = ambient."""
+    """True when dim S + dim T = ambient and the stacked bases have full rank."""
     if S.ambient != ambient or T.ambient != ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    if S.dim + T.dim != ambient:
-        return False
-    return intersect(S, T).dim == 0
+    return S.dim + T.dim == ambient and RatMat.vstack([S.mat, T.mat]).rank() == ambient
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@ class NerveSimplex:
         return len(self.arrows)
 
 
+def _check_ids(kind: str, ids, bound: int) -> None:
+    for i in ids:
+        if not (isinstance(i, int) and 0 <= i < bound):
+            raise ValidationError(f"{kind} id {i!r} is out of range 0..{bound - 1}", witness=i)
+
+
 class FinGroupoid:
     """A finite groupoid with dense composition table over integer arrow ids."""
 
@@ -62,6 +68,11 @@ class FinGroupoid:
             raise ValidationError("arrow tables have inconsistent lengths")
         if len(self.unit_of_obj) != n_obj:
             raise ValidationError("one unit arrow per object required")
+        # ids come from documents: range-check before indexing with them, since
+        # a negative id would silently wrap around
+        _check_ids("object", self.arrow_src + self.arrow_tgt, n_obj)
+        _check_ids("arrow", self.unit_of_obj + self.inv, n_arr)
+        _check_ids("arrow", [g for (g2, g1), g3 in self.comp.items() for g in (g2, g1, g3)], n_arr)
         for x, u in enumerate(self.unit_of_obj):
             if self.arrow_src[u] != x or self.arrow_tgt[u] != x:
                 raise ValidationError(f"unit of object {x} is not an endo-arrow", witness=(x, u))

@@ -9,6 +9,7 @@ zeroth face acts as a built-in self-oracle for the sign bookkeeping.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,15 +53,18 @@ class SdpBundle(SimpVB):
 
     def __init__(self, R: Ruth, L: int):
         self.R = R
-        self.E = R.E
+        self.E = E = R.E
         G = R.G
+        # The closures live on self; a strong reference back would make every
+        # bundle a cycle that only the cyclic collector frees.
+        me = weakref.proxy(self)
 
         def grading(n, s):
-            return sdp_grading(self.E, G, n, s)
+            return sdp_grading(E, G, n, s)
 
         def face(n, i, s):
-            src = self.grading(n, s)
-            dst = self.grading(n - 1, G.face(s, i))
+            src = me.grading(n, s)
+            dst = me.grading(n - 1, G.face(s, i))
             if i > 0:
                 return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_face_table(n, i)])
             blocks = {}
@@ -89,8 +93,8 @@ class SdpBundle(SimpVB):
             return BlockMap(src, dst, blocks)
 
         def deg(n, j, s):
-            src = self.grading(n, s)
-            dst = self.grading(n + 1, G.degeneracy(s, j))
+            src = me.grading(n, s)
+            dst = me.grading(n + 1, G.degeneracy(s, j))
             return BlockMap.transport(
                 src, dst, [(b, a, 1) for b, a in transport_degeneracy_table(n, j)]
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import Subspace, dense_rows_from_sparse, sparse_kernel_basis
+from .exactla import Subspace, dense_rows_from_sparse, sparse_kernel_basis, sparse_rank
 from .graded import BlockMap, Grading
 
 
@@ -156,13 +156,7 @@ def horn_system(fc, n: int, k: int, key) -> HornSystem:
 
 def horn_dim(fc, n: int, k: int, key) -> int:
     hs = horn_system(fc, n, k, key)
-    return hs.total - (len(_ranked(hs)) if hs.rows else 0)
-
-
-def _ranked(hs: HornSystem):
-    from .exactla import _sparse_eliminate
-
-    return _sparse_eliminate(hs.rows)
+    return hs.total - sparse_rank(hs.rows, hs.total)
 
 
 def horn_space_basis(fc, n: int, k: int, key) -> tuple[HornSystem, Subspace]:

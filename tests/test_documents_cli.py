@@ -105,8 +105,40 @@ def _extra_cleavage_fiber(svb, cleavage, ruth):
     return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
 
 
+def _negative_simplex(svb, cleavage, ruth):
+    ruth["operators"][0]["simplex"] = -4
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _unit_out_of_range(svb, cleavage, ruth):
+    ruth["groupoid"]["units"]["o0"] = 99
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _negative_unit(svb, cleavage, ruth):
+    ruth["groupoid"]["units"]["o1"] = -1  # would wrap around to the true unit, arrow 3
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _inverse_out_of_range(svb, cleavage, ruth):
+    ruth["groupoid"]["inverses"][1][1] = 99
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _negative_inverse(svb, cleavage, ruth):
+    ruth["groupoid"]["inverses"][3][1] = -1
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _composite_out_of_range(svb, cleavage, ruth):
+    ruth["groupoid"]["compose"][0][2] = 99
+    return ["validate", "groupoid", "groupoid.json"]
+
+
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
-                                     _extra_cleavage_fiber])
+                                     _extra_cleavage_fiber, _negative_simplex,
+                                     _unit_out_of_range, _negative_unit, _inverse_out_of_range,
+                                     _negative_inverse, _composite_out_of_range])
 def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     """README promises exit code 2 on a malformed document, not a traceback."""
     R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))
@@ -115,7 +147,8 @@ def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     cleavage = docs.cleavage_to_doc(B, B.canonical_cleavage())
     argv = corrupt(svb, cleavage, ruth)
     monkeypatch.chdir(tmp_path)
-    for name, doc in (("svb.json", svb), ("cleavage.json", cleavage), ("ruth.json", ruth)):
+    for name, doc in (("svb.json", svb), ("cleavage.json", cleavage), ("ruth.json", ruth),
+                      ("groupoid.json", ruth["groupoid"])):
         docs.save_document(name, doc)
     assert main(["--quiet"] + argv) == 2
 

@@ -96,6 +96,10 @@ def test_subspace_ops():
     x_axis = Subspace.from_rows(2, [[1, 0]])
     y_axis = Subspace.from_rows(2, [[0, 1]])
     assert is_complement(x_axis, y_axis, 2)
+    # dimensions add up, yet the two meet
+    xy_plane = Subspace.from_rows(3, [[1, 0, 0], [0, 1, 0]])
+    assert is_complement(Subspace.from_rows(3, [[1, 0, 0]]), xy_plane, 3) is False
+    assert is_complement(x_axis, x_axis, 2) is False
     assert intersect(x_axis, x_axis) == x_axis
     assert sum_subspaces(x_axis, y_axis) == Subspace.full(2)
     proj = RatMat.from_rows([[1, 0]])  # Q^2 -> Q^1

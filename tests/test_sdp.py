@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as Fr
 
 import pytest
@@ -39,6 +41,22 @@ def twisted(seed, base=None, dims=(1, 1)):
     rng = random.Random(seed)
     R0 = random_strict_ruth(G, rng, dims)
     return R0, gauge_twist(R0, random_gauge(R0.E, rng))
+
+
+def test_bundle_freed_by_reference_counting():
+    """A dropped bundle must not wait for the cyclic collector."""
+    _, R = twisted(61)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        B = build_sdp(R, 3)
+        assert verify_sdp(B).ok
+        ref = weakref.ref(B)
+        del B
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_invalid_tower_rejected():

@@ -1,14 +1,17 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
 from conftest import random_gauge, random_strict_ruth
+from ruthvb.documents import canonical_dumps
 from ruthvb.doldkan import ChainComplex, dk
 from ruthvb.exactla import RatMat, Subspace
 from ruthvb.graded import BlockMap, Grading
 from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
-from ruthvb.ruth import gauge_twist, representation_ruth, uniform_bundle
+from ruthvb.ruth import gauge_twist, representation_ruth, twisted_ruth_direct, uniform_bundle
 from ruthvb.sdp import build_sdp, example_not_full, translation_svb, twisted_cleavage
 from ruthvb.simplicial import verify_simplicial_identities
 from ruthvb.svb import (
@@ -20,6 +23,7 @@ from ruthvb.svb import (
     check_weakly_flat_morphism,
     coboundary_matches_rep,
     core,
+    explicit_cleavage,
     linear_cochain_cohomology,
     pullback_svb,
     rank_identities,
@@ -231,3 +235,102 @@ def test_pullback_and_translation_kinds():
     R = small_rep()
     T = translation_svb(R, 3)
     assert verify_simplicial_identities(T).ok
+
+
+def _report_sha256(rep) -> str:
+    return hashlib.sha256(canonical_dumps(dataclasses.asdict(rep)).encode()).hexdigest()
+
+
+def _perturbed_cleavage(B, C, rng, top):
+    """C with two fibers of level 1..top moved: one basis row gains a small
+    multiple of a relative-horn-kernel vector, or of a random vector."""
+    table = {}
+    for _ in range(2):
+        n = rng.randint(1, top)
+        s = rng.choice(B.base.nerve_level(n))
+        d = B.fiber_dim(n, s)
+        rows = [list(r) for r in (table.get((n, s)) or C.subspace(n, s)).mat.data]
+        vecs = relative_horn_kernel(B, n, rng.randrange(n + 1), s).mat.data
+        v = rng.choice(vecs) if vecs and rng.random() < 0.5 else [Fr(rng.randint(-1, 1)) for _ in range(d)]
+        r = rng.randrange(len(rows))
+        rows[r] = [a + Fr(rng.choice([-2, -1, 1, 2]), 2) * b for a, b in zip(rows[r], v)]
+        table[(n, s)] = Subspace.from_rows(d, rows)
+    return explicit_cleavage(B, table, fallback=C, name="perturbed")
+
+
+def _pinned_cleavages(base, dims, seed):
+    """Canonical, twisted and four perturbed cleavages of a twisted tower."""
+    rng = random.Random(seed)
+    R0 = random_strict_ruth(base, rng, dims)
+    R = twisted_ruth_direct(R0, random_gauge(R0.E, rng))
+    B = build_sdp(R, 2 * len(dims) + 1, validate=False)
+    C = B.canonical_cleavage()
+    Ct = twisted_cleavage(B, random_gauge(R.E, rng))
+    perturbed = [_perturbed_cleavage(B, X, rng, top) for X in (C, Ct) for top in (len(dims), 3)]
+    return B, [C, Ct] + perturbed
+
+
+# sha256 of each canonical-JSON report, in the order of _pinned_cleavages
+# (canonical, twisted, four perturbed); a change in how the checks are computed
+# must leave every verdict and failure locus as it is
+PINNED_CLEAVAGE_REPORTS = {
+    "Z/2": [
+        "a0307dc98687ac46861d4b384621d9801892a548e7c33cb42db1a3845e1a4cdf",
+        "a0307dc98687ac46861d4b384621d9801892a548e7c33cb42db1a3845e1a4cdf",
+        "3ba81f3d0151e1c25e3bca251c640bf497155b47e83951fd4e92fcd026936923",
+        "a3fbed3442905fc11443bf432918b009edf725448b24505b087b5141b5ea746d",
+        "d4e9267212c2aa7458db19a8279ca89d80230777dff52570bc6adcd2e80109b8",
+        "a0307dc98687ac46861d4b384621d9801892a548e7c33cb42db1a3845e1a4cdf",
+    ],
+    "pair(2)": [
+        "95ef06b6b74518d1b687b2c113b98637a4ccdac8298353932ff2b8e57460caf3",
+        "95ef06b6b74518d1b687b2c113b98637a4ccdac8298353932ff2b8e57460caf3",
+        "95ef06b6b74518d1b687b2c113b98637a4ccdac8298353932ff2b8e57460caf3",
+        "95ef06b6b74518d1b687b2c113b98637a4ccdac8298353932ff2b8e57460caf3",
+        "667219ceb745fdc3f8e5fb5415e1f97666311c8668967f5b0cb1a8f2bbe86d91",
+        "95ef06b6b74518d1b687b2c113b98637a4ccdac8298353932ff2b8e57460caf3",
+    ],
+    "unit(2)": [
+        "49111e8e2f823a66601f5aac650ae9fc0376ede38449a8944b44c6389c960698",
+        "49111e8e2f823a66601f5aac650ae9fc0376ede38449a8944b44c6389c960698",
+        "db8f72391e3278ad24f0ee97ef63e6eaf881dc3b8dbb8307665af1902cfa2aa7",
+        "3ea8389249271f6dc43f54f6982d239ed7d2d52b14679003063da202454ce513",
+        "96f2462df8cac2cb826e433bb9c3299fd2f23c3bc591b645928d06c52311fb6f",
+        "3911c7d991fd44d4a87415692717c4de53c32dd2cc8d7d3632ead992ed96c00f",
+    ],
+    "not-full": [
+        "77badee598efe8376c9d20d18e3ed425974b5322c9474ca525ffba00d2ac8742",
+        "77badee598efe8376c9d20d18e3ed425974b5322c9474ca525ffba00d2ac8742",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, make_base, dims, seed", [
+    ("Z/2", lambda: cyclic_group(2), (1, 1), 31),
+    ("pair(2)", lambda: pair_groupoid(2), (1, 1), 32),
+    ("unit(2)", lambda: unit_groupoid(2), (1, 1, 1), 33),
+    ("not-full", None, None, None),
+])
+def test_cleavage_reports_pinned(name, make_base, dims, seed):
+    """Full check_cleavage reports, interior closure included, stay byte-identical."""
+    if make_base is None:
+        V, C, Cp = example_not_full()
+        cleavages = [C, Cp]
+    else:
+        V, cleavages = _pinned_cleavages(make_base(), dims, seed)
+    digests = [_report_sha256(check_cleavage(V, C, check_interior=True)) for C in cleavages]
+    assert digests == PINNED_CLEAVAGE_REPORTS[name]
+
+
+def test_interior_closure_failure_pinned():
+    """Zero cleavage fibers over two degenerate 2-simplices of an order-zero
+    bundle keep it flat but break interior closure on level 3."""
+    G = pair_groupoid(2)
+    B = build_sdp(random_strict_ruth(G, random.Random(1), (1,)), 3)
+    level = G.nerve_level(2)
+    zeroed = {(2, level[i]): Subspace.zero(B.fiber_dim(2, level[i])) for i in (0, 4)}
+    rep = check_cleavage(B, explicit_cleavage(B, zeroed, fallback=B.canonical_cleavage()))
+    assert rep.weakly_flat and rep.flat and not rep.interior_closure_ok
+    assert [f for f in rep.failures if f[0] == "interior closure"] == [
+        ("interior closure", 3, 2, 2), ("interior closure", 3, 2, 10)]
+    assert _report_sha256(rep) == "079f1dc9f0501e16b7e59b977130506a5c98e582e03cbf4721dd2fce54f9c0aa"
