@@ -98,6 +98,11 @@ def groupoid_from_doc(doc: dict) -> FinGroupoid:
         oidx = {name: i for i, name in enumerate(objects)}
         arrows = doc["arrows"]
         n = len(arrows)
+        # a negative or repeated id would wrap around or overwrite an arrow
+        if sorted(a["id"] for a in arrows) != list(range(n)):
+            raise ValueError(f"arrow ids must be 0..{n - 1}, each once")
+        if sorted(g for g, _ in doc["inverses"]) != list(range(n)):
+            raise ValueError(f"inverse keys must be 0..{n - 1}, each once")
         src = [0] * n
         tgt = [0] * n
         names = [""] * n

@@ -25,8 +25,8 @@ from .ordmaps import (
     transport_face_table,
     zero_mono_masks,
 )
-from .simplicial import face_kernel, horn_dim, horn_map_dense
-from .svb import Cleavage, SimpVB, _witness_space
+from .simplicial import horn_dim, horn_map_dense
+from .svb import Cleavage, SimpVB, _witness_space, relative_horn_kernel
 
 
 class ChainComplex:
@@ -239,28 +239,27 @@ class Normalization:
         return ChainComplex(self.dims, self.boundary)
 
 
-def normalize(X: SimpVB, up_to: int | None = None) -> Normalization:
+def normalize(X: SimpVB) -> Normalization:
     """Intersection of the positive face kernels with differential d_0.
 
     Assumes X satisfies the simplicial identities; run
     verify_simplicial_identities first on untrusted input.
     """
-    top = X.L if up_to is None else up_to
     inclusions = {}
     dims = []
-    for n in range(top + 1):
-        sub = face_kernel(X, n, None, range(1, n + 1))
+    for n in range(X.L + 1):
+        sub = relative_horn_kernel(X, n, 0, None)
         inclusions[n] = sub
         dims.append(sub.dim)
     boundary = {}
-    for n in range(1, top + 1):
+    for n in range(1, X.L + 1):
         if dims[n] == 0 or dims[n - 1] == 0:
             boundary[n] = RatMat.zeros(dims[n - 1], dims[n])
             continue
         img = X.face(n, 0).to_dense() @ inclusions[n].mat.transpose()
         boundary[n] = solve_matrix(inclusions[n - 1].mat.transpose(), img)
     result = Normalization(tuple(dims), boundary, inclusions)
-    for n in range(2, top + 1):
+    for n in range(2, X.L + 1):
         prod = result.boundary[n - 1] @ result.boundary[n]
         if not prod.is_zero():
             raise ValidationError(f"restricted differential does not square to zero at {n}")
@@ -337,9 +336,9 @@ def dk_projection(X: SimpVB, n: int) -> RatMat:
     return out
 
 
-def normalization_roundtrip(Y: ChainComplex, X: SimpVB, up_to: int | None = None):
+def normalization_roundtrip(Y: ChainComplex, X: SimpVB):
     """normalize(X) together with a constructed exact isomorphism onto Y."""
-    norm = normalize(X, up_to=up_to)
+    norm = normalize(X)
     iso = chain_iso_onto(norm, Y, lambda n: dk_projection(X, n))
     return norm, iso
 
@@ -392,12 +391,7 @@ def check_unique_flat_cleavage(X: SimpVB) -> FlatCleavageReport:
         flatness.append(LevelCheck(n, 0, ok, f"witness dim {W.dim}"))
     order_equiv = []
     for n in range(1, X.L + 1):
-        unique = True
-        for k in range(n + 1):
-            ker = face_kernel(X, n, None, [i for i in range(n + 1) if i != k])
-            if ker.dim:
-                unique = False
-                break
+        unique = not any(relative_horn_kernel(X, n, k, None).dim for k in range(n + 1))
         order_equiv.append(
             LevelCheck(n, -1, unique == (norm.dims[n] == 0), f"NX dim {norm.dims[n]}")
         )

@@ -143,9 +143,8 @@ def verify_sdp(B: SdpBundle) -> SdpVerification:
 
     rep = verify_simplicial_identities(B)
     fib = check_fibration(B)
-    cr = core(B)
     order_ok = fib.is_fibration and fib.order == B.E.N
-    core_ok = cr.bundle == B.E
+    core_ok = core(B) == B.E
     failures = [("identity", v.identity, v.level, v.indices) for v in rep.violations]
     failures += [("fibration",) + f for f in fib.failures]
     if not core_ok:

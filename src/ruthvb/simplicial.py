@@ -96,13 +96,21 @@ def verify_simplicial_identities(fc, levels=None, max_violations: int = 10) -> I
 
 
 def face_kernel(fc, n: int, key, face_indices) -> Subspace:
-    """∩ ker d_i over the given face indices, inside fiber(n, key)."""
-    g = fc.grading(n, key)
-    rows = []
-    for i in face_indices:
-        rows.extend(fc.face(n, i, key).sparse_rows())
-    basis = sparse_kernel_basis([r for r in rows if r], g.total)
-    return Subspace.from_rows(g.total, dense_rows_from_sparse(basis, g.total))
+    """∩ ker d_i over the given face indices, inside fiber(n, key).
+
+    Computed once per bundle and face set; every caller gets the same
+    Subspace, which must not be mutated.
+    """
+    memo = (n, key, tuple(face_indices))
+    sub = fc._kernels.get(memo)
+    if sub is None:
+        g = fc.grading(n, key)
+        rows = []
+        for i in memo[2]:
+            rows.extend(fc.face(n, i, key).sparse_rows())
+        basis = sparse_kernel_basis([r for r in rows if r], g.total)
+        sub = fc._kernels[memo] = Subspace.from_rows(g.total, dense_rows_from_sparse(basis, g.total))
+    return sub
 
 
 @dataclass
@@ -155,8 +163,13 @@ def horn_system(fc, n: int, k: int, key) -> HornSystem:
 
 
 def horn_dim(fc, n: int, k: int, key) -> int:
-    hs = horn_system(fc, n, k, key)
-    return hs.total - sparse_rank(hs.rows, hs.total)
+    """Dimension of the (n,k)-horn space over key; computed once per bundle."""
+    memo = (n, k, key)
+    d = fc._horn_dims.get(memo)
+    if d is None:
+        hs = horn_system(fc, n, k, key)
+        d = fc._horn_dims[memo] = hs.total - sparse_rank(hs.rows, hs.total)
+    return d
 
 
 def horn_space_basis(fc, n: int, k: int, key) -> tuple[HornSystem, Subspace]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NoSolutionError, ValidationError
-from .exactla import Fr, RatMat, Subspace, left_solver, solve_matrix
+from .exactla import Fr, RatMat, left_solver, solve_matrix
 from .graded import BlockMap, Grading
 from .groupoid import NerveSimplex
 from .ordmaps import mask_to_tuple
@@ -26,8 +26,8 @@ from .svb import (
     check_cleavage,
     check_weakly_flat_morphism,
     core,
+    relative_horn_kernel,
 )
-from .simplicial import face_kernel
 
 
 class SplitContext:
@@ -35,7 +35,9 @@ class SplitContext:
 
     validate: "cleavage" runs the full cleavage checker; "none" trusts the
     caller (used internally where the cleavage is one by construction).
-    Caches are write-once; the context never mutates its inputs.
+    The context's write-once caches hold only what depends on the cleavage;
+    relative-horn kernels live on the bundle.  The context never mutates its
+    inputs.
     """
 
     def __init__(self, V: SimpVB, C: Cleavage, validate: str = "cleavage"):
@@ -43,10 +45,8 @@ class SplitContext:
         self.C = C
         self.G = V.base
         self.L = V.L
-        self.core = core(V)
-        self.E = self.core.bundle
+        self.E = core(V)
         self.N = self.E.N
-        self._k_basis: dict = {}
         self._pik_coords: dict = {}
         self._split_mat: dict = {}
         self._fill_ops: dict = {}
@@ -60,14 +60,7 @@ class SplitContext:
         elif validate != "none":
             raise ValueError("validate must be 'cleavage' or 'none'")
 
-    # -- kernels and projections -------------------------------------------
-
-    def k_basis(self, n: int, s: NerveSimplex) -> Subspace:
-        key = (n, s)
-        sub = self._k_basis.get(key)
-        if sub is None:
-            sub = self._k_basis[key] = face_kernel(self.V, n, s, range(1, n + 1))
-        return sub
+    # -- projections ---------------------------------------------------------
 
     def pik_coords(self, n: int, s: NerveSimplex) -> RatMat:
         """Rows giving K-coordinates of the projection with kernel C.
@@ -78,7 +71,7 @@ class SplitContext:
         key = (n, s)
         mat = self._pik_coords.get(key)
         if mat is None:
-            K = self.k_basis(n, s)
+            K = relative_horn_kernel(self.V, n, 0, s)
             d = self.V.fiber_dim(n, s)
             if n == 0:
                 P = K.mat.transpose()
@@ -201,9 +194,9 @@ class SplitContext:
         mat = self._split_mat.get(key)
         if mat is not None:
             return mat
-        K = self.k_basis(n, s)
-        x_obj = self.G.vertex_obj(s, n)
-        core_basis = self.core.bases[(n, x_obj)]
+        K = relative_horn_kernel(self.V, n, 0, s)
+        unit = self.G.unit_simplex(self.G.vertex_obj(s, n), n)
+        core_basis = relative_horn_kernel(self.V, n, 0, unit)
         rows_out = core_basis.dim
         d = self.V.fiber_dim(n, s)
         if K.dim != rows_out:
@@ -381,13 +374,11 @@ def roundtrip_bundle(ctx: SplitContext) -> tuple[Ruth, RoundtripReport]:
                         fail("degeneracy", n, j, G.simplex_index(s))
             if n >= 1:
                 # the cleavage must map onto the canonical one
-                eqC = ctx.C.equations(n, s)
-                dimC = ctx.V.fiber_dim(n, s) - eqC.rank() if eqC.rows else ctx.V.fiber_dim(n, s)
                 wg = ctx.w_grading(n, s)
                 iota = (1 << (n + 1)) - 1
                 lam = wg.dim(iota)
                 checked += 1
-                if dimC != ctx.V.fiber_dim(n, s) - lam:
+                if ctx.C.subspace(n, s).dim != ctx.V.fiber_dim(n, s) - lam:
                     cleavage_ok = False
                     fail("cleavage-dim", n, G.simplex_index(s))
                 elif lam:

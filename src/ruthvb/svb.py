@@ -47,6 +47,9 @@ class SimpVB:
         self._gradings: dict = {}
         self._faces: dict = {}
         self._degs: dict = {}
+        # write-once horn facts, filled only by simplicial.face_kernel and horn_dim
+        self._kernels: dict = {}
+        self._horn_dims: dict = {}
 
     def grading(self, n: int, s: NerveSimplex | None = None) -> Grading:
         key = (n, s)
@@ -119,28 +122,16 @@ def pullback_svb(X, base: FinGroupoid, L: int | None = None) -> SimpVB:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoreResult:
-    bundle: GradedBundle
-    bases: dict  # (n, object) -> Subspace of the fiber over the unit n-simplex
-
-
-def core(V: SimpVB, up_to: int | None = None) -> CoreResult:
-    """Positive-face kernels over the unit simplices, per object and level."""
-    top = V.L if up_to is None else up_to
+def core(V: SimpVB) -> GradedBundle:
+    """Positive-face kernel ranks over the unit simplices, per object and level."""
     dims_by_obj = {}
-    bases = {}
     for x in range(V.base.n_objects):
-        dims = []
-        for n in range(top + 1):
-            s = V.base.unit_simplex(x, n)
-            sub = face_kernel(V, n, s, range(1, n + 1))
-            bases[(n, x)] = sub
-            dims.append(sub.dim)
+        dims = [relative_horn_kernel(V, n, 0, V.base.unit_simplex(x, n)).dim
+                for n in range(V.L + 1)]
         while len(dims) > 1 and dims[-1] == 0:
             dims.pop()
         dims_by_obj[x] = tuple(dims)
-    return CoreResult(GradedBundle(V.base, dims_by_obj), bases)
+    return GradedBundle(V.base, dims_by_obj)
 
 
 @dataclass
@@ -157,6 +148,7 @@ class FibrationReport:
 
 
 def relative_horn_kernel(V: SimpVB, n: int, k: int, s: NerveSimplex) -> Subspace:
+    """Kernel of every face but the k-th; for k = 0 the positive-face kernel."""
     return face_kernel(V, n, s, [i for i in range(n + 1) if i != k])
 
 
@@ -497,7 +489,7 @@ class RankReport:
         return self.kernel_law_ok and self.horn_formula_ok
 
 
-def rank_identities(V: SimpVB, core_result: CoreResult | None = None) -> RankReport:
+def rank_identities(V: SimpVB) -> RankReport:
     """Kernel ranks of every relative horn map against the core, and horn-space
     dimensions against the binomial count, exactly, on every fiber.
 
@@ -505,8 +497,7 @@ def rank_identities(V: SimpVB, core_result: CoreResult | None = None) -> RankRep
     """
     from math import comb
 
-    cr = core_result if core_result is not None else core(V)
-    E = cr.bundle
+    E = core(V)
     uniform = E.same_dims_everywhere()
     failures = []
     ker_ok = True

@@ -135,10 +135,39 @@ def _composite_out_of_range(svb, cleavage, ruth):
     return ["validate", "groupoid", "groupoid.json"]
 
 
+def _negative_arrow_id(svb, cleavage, ruth):
+    ruth["groupoid"]["arrows"][3]["id"] = -1  # would wrap around to arrow 3
+    ruth["groupoid"]["inverses"][3] = [-1, 3]
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _negative_arrow_id_only(svb, cleavage, ruth):
+    ruth["groupoid"]["arrows"][3]["id"] = -1
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _duplicate_arrow_id(svb, cleavage, ruth):
+    ruth["groupoid"]["arrows"][2]["id"] = 1
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _negative_inverse_key(svb, cleavage, ruth):
+    ruth["groupoid"]["inverses"][3][0] = -1  # would wrap around to arrow 3
+    return ["validate", "groupoid", "groupoid.json"]
+
+
+def _missing_inverse(svb, cleavage, ruth):
+    del ruth["groupoid"]["inverses"][2]
+    return ["validate", "groupoid", "groupoid.json"]
+
+
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
                                      _extra_cleavage_fiber, _negative_simplex,
                                      _unit_out_of_range, _negative_unit, _inverse_out_of_range,
-                                     _negative_inverse, _composite_out_of_range])
+                                     _negative_inverse, _composite_out_of_range,
+                                     _negative_arrow_id, _negative_arrow_id_only,
+                                     _duplicate_arrow_id, _negative_inverse_key,
+                                     _missing_inverse])
 def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     """README promises exit code 2 on a malformed document, not a traceback."""
     R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))

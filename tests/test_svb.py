@@ -8,12 +8,12 @@ import pytest
 from conftest import random_gauge, random_strict_ruth
 from ruthvb.documents import canonical_dumps
 from ruthvb.doldkan import ChainComplex, dk
-from ruthvb.exactla import RatMat, Subspace
+from ruthvb.exactla import RatMat, Subspace, kernel
 from ruthvb.graded import BlockMap, Grading
 from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
 from ruthvb.ruth import gauge_twist, representation_ruth, twisted_ruth_direct, uniform_bundle
-from ruthvb.sdp import build_sdp, example_not_full, translation_svb, twisted_cleavage
-from ruthvb.simplicial import verify_simplicial_identities
+from ruthvb.sdp import build_sdp, example_not_full, translation_svb, twisted_cleavage, verify_sdp
+from ruthvb.simplicial import face_kernel, horn_map_dense, verify_simplicial_identities
 from ruthvb.svb import (
     BundleMap,
     canonical_cleavage,
@@ -82,10 +82,10 @@ def test_broken_face_detected():
 def test_core_recovers_bundle():
     R = twisted_order_one()
     B = build_sdp(R, 4)
-    assert core(B).bundle == R.E
+    assert core(B) == R.E
     zero = representation_ruth(unit_groupoid(1), {0: 0}, {0: RatMat.zeros(0, 0)})
     Bz = build_sdp(zero, 3)
-    assert all(d == 0 for d in core(Bz).bundle._dims.values())
+    assert all(d == 0 for d in core(Bz)._dims.values())
 
 
 def test_core_over_unit_base_is_normalization():
@@ -98,7 +98,7 @@ def test_core_over_unit_base_is_normalization():
     from ruthvb.doldkan import normalize
 
     norm = normalize(dk(Y, 5))
-    assert tuple(cr.bundle.dim(0, k) for k in range(3)) == norm.dims[:3]
+    assert tuple(cr.dim(0, k) for k in range(3)) == norm.dims[:3]
 
 
 def test_fibration_equivalence_both_sides():
@@ -334,3 +334,110 @@ def test_interior_closure_failure_pinned():
     assert [f for f in rep.failures if f[0] == "interior closure"] == [
         ("interior closure", 3, 2, 2), ("interior closure", 3, 2, 10)]
     assert _report_sha256(rep) == "079f1dc9f0501e16b7e59b977130506a5c98e582e03cbf4721dd2fce54f9c0aa"
+
+
+def _twisted_tower(base, dims, seed):
+    rng = random.Random(seed)
+    R0 = random_strict_ruth(base, rng, dims)
+    return twisted_ruth_direct(R0, random_gauge(R0.E, rng))
+
+
+def _perturbed_r2(R):
+    """R with one entry of its first nonzero R_2 block over a nondegenerate simplex moved."""
+    s = next(s for s in R.G.nerve_level(2) if not R.G.is_degenerate(s) and R.block(2, s, 0).rows)
+    mat = R.block(2, s, 0).copy()
+    mat.data[0][0] += Fr(7, 2)
+    return R.with_block(2, s, 0, mat)
+
+
+def _horn_law_bundle(name):
+    if name == "Z/2":
+        R = _twisted_tower(cyclic_group(2), (1, 1), 41)
+    elif name == "unit(2)":
+        R = _twisted_tower(unit_groupoid(2), (1, 1, 1), 43)
+    else:
+        R = _twisted_tower(pair_groupoid(2), (1, 1), 42)
+        if name == "pair(2)-perturbed-R2":
+            R = _perturbed_r2(R)
+    return build_sdp(R, 2 * R.E.N + 3, validate=False)
+
+
+# sha256 of the canonical-JSON check_fibration, rank_identities, core and
+# verify_sdp reports, in that order; the perturbed bundle fails the identities,
+# the fibration and the horn formula, so those failure lists are pinned too
+PINNED_HORN_LAW_REPORTS = {
+    "Z/2": [
+        "29387decc1c87be66e4890f9de6375273dc74bfb47ed50ec192a12db389148b0",
+        "7285778eaccc8e219e4f2cee9159fbd364d42a4f42a2cc4ac19a97972232cce8",
+        "659da9269a6c5c8b5c4e660939ed5ee642b69f9ab281d87f6caa349ff4a9d36a",
+        "0bac7277749796cbb850c573bbce63f8d9a967eaf625ca27df2240240405bc43",
+    ],
+    "pair(2)": [
+        "29387decc1c87be66e4890f9de6375273dc74bfb47ed50ec192a12db389148b0",
+        "83e7573f08f080f3170ac27b66ed79e0bb822919c6c07f324b67c88f14e59b0c",
+        "d5d2386f8aa3af07ed5f5ec1110948b473e3f4bc8785ca44149916ccc458c700",
+        "e7f9668c6a239b5a10e653af8a1332b707dc9ed89b3a6f18c045c0076c76e8af",
+    ],
+    "unit(2)": [
+        "87629fbe2aee6a47ef711051ca80b27552da68a2bb4ff7d01d766a92ca1da2ec",
+        "a2460692faddb97308e0236be209ea27128108c1028d3c67c30febf68a4da985",
+        "0b1897a0aaebcd9f55cb2283082a520eb1fd8f056e7600cc3c0d71863da637e1",
+        "19f144a51a01ea7551233436e4241bf66b7fa04df8ba5596e377d2b7377d7260",
+    ],
+    "pair(2)-perturbed-R2": [
+        "500509f19af4886191e5227b56715a3a978e72ac456f6ad607bfff031c43dc65",
+        "8c19cbce4674ff070ca289b73c261e3dba67ddb15b1248ff77334f473eeea3e8",
+        "d5d2386f8aa3af07ed5f5ec1110948b473e3f4bc8785ca44149916ccc458c700",
+        "14509153a0349902e9f5c599805a06be3a0a0011e1f44ccca16e328957f497d1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["Z/2", "pair(2)", "unit(2)", "pair(2)-perturbed-R2"])
+def test_horn_law_reports_pinned(name):
+    """Fibration, rank-law, core and verify_sdp reports stay byte-identical."""
+    B = _horn_law_bundle(name)
+    E = core(B)
+    reports = [
+        dataclasses.asdict(check_fibration(B)),
+        dataclasses.asdict(rank_identities(B)),
+        {"N": E.N, "dims": [[E.dim(x, k) for k in E.degrees()] for x in range(B.base.n_objects)]},
+        dataclasses.asdict(verify_sdp(B)),
+    ]
+    digests = [hashlib.sha256(canonical_dumps(r).encode()).hexdigest() for r in reports]
+    assert digests == PINNED_HORN_LAW_REPORTS[name]
+
+
+def test_horn_facts_computed_once(monkeypatch):
+    """After verify_sdp, the rank law, the cleavage check and the split read
+    every relative-horn kernel and horn dimension off the bundle, and each
+    stored kernel is the null space of its own stacked faces."""
+    import ruthvb.simplicial as simplicial
+    from ruthvb.split import SplitContext
+
+    calls = {"horn_system": 0, "sparse_kernel_basis": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(simplicial, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(simplicial, name, counted)
+    B = build_sdp(_twisted_tower(pair_groupoid(2), (1, 1), 42), 5)
+    assert verify_sdp(B).ok
+    after_verify = dict(calls)
+    assert all(after_verify.values())
+    assert rank_identities(B).ok
+    assert check_cleavage(B, B.canonical_cleavage(), check_interior=False).ok
+    ctx = SplitContext(B, B.canonical_cleavage())
+    for s in B.base.nerve_level(1):
+        ctx.split_matrix(1, s)
+    assert calls == after_verify
+    s = B.base.nerve_level(2)[5]
+    assert relative_horn_kernel(B, 2, 0, s) is face_kernel(B, 2, s, range(1, 3))
+    # over Z/2 some kernels change with k, so a memo key that lost the face
+    # set would hand out the wrong one
+    for V in (B, _horn_law_bundle("Z/2")):
+        for n in range(1, 4):
+            for s in V.base.nerve_level(n):
+                for k in range(n + 1):
+                    assert relative_horn_kernel(V, n, k, s) == kernel(horn_map_dense(V, n, k, s))
