@@ -76,6 +76,17 @@ def _witness_str(items, cap=3):
     return [str(w) for w in items[:cap]]
 
 
+def _with_mcap(R, mcap):
+    """R with its coherence check cap overridden by --mcap, when given."""
+    if mcap is None:
+        return R
+    if mcap < 0:
+        raise ValidationError(f"--mcap must be non-negative, not {mcap}")
+    from .ruth import Ruth
+
+    return Ruth(R.E, R.ops, m_cap=mcap)
+
+
 def cmd_validate(args) -> int:
     from .simplicial import verify_simplicial_identities
     from .svb import check_cleavage
@@ -88,11 +99,9 @@ def cmd_validate(args) -> int:
         rep.add("groupoid axioms", True)
         rep.add("nerve sizes", True, witness=[len(G.nerve_level(n)) for n in range(3)])
     elif args.kind == "ruth":
-        from .ruth import Ruth, check_rh1, check_rh2
+        from .ruth import check_rh1, check_rh2
 
-        R = docs.ruth_from_doc(doc)
-        if args.mcap is not None:
-            R = Ruth(R.E, R.ops, m_cap=args.mcap)
+        R = _with_mcap(docs.ruth_from_doc(doc), args.mcap)
         r1 = check_rh1(R)
         rep.add("units and degeneracies", r1.ok, witness=_witness_str(r1.violations))
         r2 = check_rh2(R)
@@ -121,14 +130,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build_sdp(args) -> int:
-    from .ruth import Ruth, check_rh1, check_rh2
+    from .ruth import check_rh1, check_rh2
     from .sdp import build_sdp, d0_paths_agree, verify_sdp
     from .svb import check_cleavage
 
     path = _resolve(args.path)
-    R = docs.ruth_from_doc(docs.load_document(path))
-    if args.mcap is not None:
-        R = Ruth(R.E, R.ops, m_cap=args.mcap)
+    R = _with_mcap(docs.ruth_from_doc(docs.load_document(path)), args.mcap)
     rep = Report("build-sdp", [path])
     r1, r2 = check_rh1(R), check_rh2(R)
     rep.add("input tower axioms", r1.ok and r2.ok,

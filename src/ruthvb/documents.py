@@ -184,6 +184,8 @@ def ruth_from_doc(doc: dict) -> Ruth:
             table = ops.setdefault((m, s), {})
             table[entry["degree"]] = mat_from_json(entry["matrix"], f"operator m={m}")
         m_cap = doc.get("mcap")
+        if m_cap is not None and (type(m_cap) is not int or m_cap < 0):
+            raise ValueError(f"mcap must be a non-negative integer, not {m_cap!r}")
     return Ruth(E, ops, m_cap=m_cap)
 
 

@@ -11,6 +11,7 @@ one; the flat-cleavage check reuses the bundle witness space.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -98,7 +99,7 @@ def dk(Y: ChainComplex, L: int | None = None) -> SimpVB:
         return Grading(masks, tuple(Y.dim(bin(m).count("1") - 1) for m in masks))
 
     def face(n, i, s=None):
-        src, dst = grading(n), grading(n - 1)
+        src, dst = me.grading(n), me.grading(n - 1)
         if i > 0:
             return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_face_table(n, i)])
         # the semi-direct-product row over a point: identities for Case II and
@@ -112,16 +113,20 @@ def dk(Y: ChainComplex, L: int | None = None) -> SimpVB:
                 if src.dim(term.source_mask) == 0:
                     continue
                 if term.case == "II" or term.m == 1:
-                    blocks[(beta, term.source_mask)] = Fr(term.sign)
+                    blocks[(beta, term.source_mask)] = term.sign
                 elif term.m == 0:
                     blocks[(beta, term.source_mask)] = Y.d(bin(term.source_mask).count("1") - 1)
         return BlockMap(src, dst, blocks)
 
     def deg(n, j, s=None):
-        src, dst = grading(n), grading(n + 1)
+        src, dst = me.grading(n), me.grading(n + 1)
         return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_degeneracy_table(n, j)])
 
-    return SimpVB(POINT, L, grading, face, deg, kind="dk")
+    X = SimpVB(POINT, L, grading, face, deg, kind="dk")
+    # faces read each level's grading off X, so composites share one object;
+    # a proxy keeps X out of a reference cycle with its own closures
+    me = weakref.proxy(X)
+    return X
 
 
 def dk_sign_iso(Y: ChainComplex, L: int) -> dict[int, BlockMap]:
@@ -174,7 +179,7 @@ def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVB:
         return Grading(labels, tuple(Y.dim(lab[-1]) for lab in labels))
 
     def face(n, i, s=None):
-        src, dst = grading(n), grading(n - 1)
+        src, dst = me.grading(n), me.grading(n - 1)
         blocks = {}
         for alpha in surjection_labels(n):
             if src.dim(alpha) == 0:
@@ -182,7 +187,7 @@ def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVB:
             k = alpha[-1]
             img = alpha[:i] + alpha[i + 1 :]
             if len(set(img)) == k + 1:
-                blocks[(img, alpha)] = blocks.get((img, alpha), Fr(0)) + 1
+                blocks[(img, alpha)] = blocks.get((img, alpha), 0) + 1
             elif i == n:
                 # the top value is hit only at the last input; d_n applies the boundary
                 beta = img  # a surjection [n-1] ->> [k-1]
@@ -191,14 +196,16 @@ def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVB:
         return BlockMap(src, dst, blocks)
 
     def deg(n, j, s=None):
-        src, dst = grading(n), grading(n + 1)
+        src, dst = me.grading(n), me.grading(n + 1)
         blocks = {}
         for alpha in surjection_labels(n):
             img = alpha[: j + 1] + alpha[j:]
-            blocks[(img, alpha)] = Fr(1)
+            blocks[(img, alpha)] = 1
         return BlockMap(src, dst, blocks)
 
-    return SimpVB(POINT, L, grading, face, deg, kind="dk_classic")
+    X = SimpVB(POINT, L, grading, face, deg, kind="dk_classic")
+    me = weakref.proxy(X)
+    return X
 
 
 def mono_epi_duality(n: int) -> dict[int, tuple[int, ...]]:

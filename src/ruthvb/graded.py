@@ -3,9 +3,13 @@
 Fibers of the bundles in this library are direct sums indexed by simplex-
 category data.  Face and degeneracy maps are extremely sparse in that
 decomposition: most blocks are signed identities.  BlockMap keeps that
-structure explicit, storing each block either as a Fraction (meaning that
+structure explicit, storing each block either as a scalar (meaning that
 scalar times the identity) or as a dense RatMat, so that identity
 verification composes index transports instead of full matrices.
+
+A scalar block is a Python int when it is integral and a Fraction only when
+it is not; no stored block is zero.  Transports therefore compose and compare
+in native integer arithmetic, and every result stays an exact rational.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .exactla import Fr, ONE, ZERO, RatMat
+from .exactla import ZERO, RatMat
 
-Entry = Fraction | RatMat
+# a scalar block: int when integral, else a Fraction with denominator > 1
+Scalar = int | Fraction
+Entry = Scalar | RatMat
 
 
 @dataclass(frozen=True)
@@ -61,44 +67,80 @@ class Grading:
         return Grading((label,), (dim,))
 
 
+def _scalar(c) -> Scalar:
+    """c as a stored scalar: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _as_scalar(mat: RatMat) -> Fraction | None:
+    """c when mat == c * identity, else None."""
+    if mat.rows != mat.cols:
+        return None
+    c = mat.data[0][0] if mat.rows else ZERO
+    for i, row in enumerate(mat.data):
+        for j, x in enumerate(row):
+            if x != (c if i == j else 0):
+                return None
+    return c
+
+
+def _scale_dense(m: RatMat, c: Scalar) -> RatMat:
+    if c == 1:
+        return m
+    if c == -1:
+        return -m
+    return m.scale(c)
+
+
 def _entry_mul(a: Entry, b: Entry) -> Entry:
-    if isinstance(a, Fraction):
-        if isinstance(b, Fraction):
-            return a * b
-        return b.scale(a)
-    if isinstance(b, Fraction):
-        return a.scale(b)
-    return a @ b
+    if type(a) is RatMat:
+        return a @ b if type(b) is RatMat else _scale_dense(a, b)
+    if type(b) is RatMat:
+        return _scale_dense(b, a)
+    return _scalar(a * b)
 
 
-def _entry_add(a: Entry | None, b: Entry, dim_out: int, dim_in: int) -> Entry | None:
+def _densify(c: Scalar, n: int) -> RatMat:
+    return RatMat.identity(n).scale(c)
+
+
+def _entry_add(a: Entry | None, b: Entry) -> Entry | None:
+    """a + b, or None when the sum is zero.
+
+    A scalar meets a dense block only on a square block, whose size the
+    dense block carries, so no grading is consulted.
+    """
     if a is None:
         r = b
-    elif isinstance(a, Fraction) and isinstance(b, Fraction):
-        r = a + b
+    elif type(a) is not RatMat and type(b) is not RatMat:
+        return _scalar(a + b) or None
+    elif type(a) is not RatMat:
+        r = _densify(a, b.rows) + b
+    elif type(b) is not RatMat:
+        r = a + _densify(b, a.rows)
     else:
-        r = _densify(a, dim_out, dim_in) + _densify(b, dim_out, dim_in)
-    if isinstance(r, Fraction):
-        return r if r else None
+        r = a + b
+    if type(r) is not RatMat:
+        return r or None
     return None if r.is_zero() else r
 
 
-def _densify(e: Entry, dim_out: int, dim_in: int) -> RatMat:
-    if isinstance(e, Fraction):
-        if dim_out != dim_in:
-            raise DimensionMismatch("scalar block must be square")
-        return RatMat.identity(dim_out).scale(e)
-    return e
-
-
-def _entries_equal(a: Entry | None, b: Entry | None, dim_out: int, dim_in: int) -> bool:
-    if a is None and b is None:
-        return True
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    am = _densify(a, dim_out, dim_in) if a is not None else RatMat.zeros(dim_out, dim_in)
-    bm = _densify(b, dim_out, dim_in) if b is not None else RatMat.zeros(dim_out, dim_in)
-    return am == bm
+def _entries_equal(a: Entry | None, b: Entry | None) -> bool:
+    """Exact equality of two blocks; None stands for a zero block."""
+    if type(a) is not RatMat and type(b) is not RatMat:
+        return (a or 0) == (b or 0)
+    if a is None:
+        return b.is_zero()
+    if b is None:
+        return a.is_zero()
+    if type(a) is not RatMat:
+        return _as_scalar(b) == a
+    if type(b) is not RatMat:
+        return _as_scalar(a) == b
+    return a == b
 
 
 class BlockMap:
@@ -108,7 +150,7 @@ class BlockMap:
 
     @classmethod
     def _raw(cls, src: Grading, dst: Grading, blocks: dict) -> BlockMap:
-        """Internal constructor for blocks already known to be valid and nonzero."""
+        """Internal constructor for blocks already valid, nonzero and in stored form."""
         self = object.__new__(cls)
         self.src = src
         self.dst = dst
@@ -125,18 +167,19 @@ class BlockMap:
             do, si = dst.dim(dl), src.dim(sl)
             if do == 0 or si == 0:
                 continue
-            if isinstance(e, Fraction):
-                if not e:
-                    continue
-                if do != si:
-                    raise DimensionMismatch("scalar block must join equal dims")
-            else:
+            if type(e) is RatMat:
                 if (e.rows, e.cols) != (do, si):
                     raise DimensionMismatch(
                         f"block {dl}<-{sl} has shape {e.rows}x{e.cols}, want {do}x{si}"
                     )
                 if e.is_zero():
                     continue
+            else:
+                e = _scalar(e)
+                if not e:
+                    continue
+                if do != si:
+                    raise DimensionMismatch("scalar block must join equal dims")
             self.blocks[(dl, sl)] = e
 
     # -- constructors ------------------------------------------------------
@@ -147,12 +190,12 @@ class BlockMap:
 
     @staticmethod
     def identity(g: Grading) -> BlockMap:
-        return BlockMap(g, g, {(l, l): ONE for l in g.labels})
+        return BlockMap(g, g, {(l, l): 1 for l in g.labels})
 
     @staticmethod
     def transport(src: Grading, dst: Grading, pairs) -> BlockMap:
         """Index transport: each (dst_label, src_label, coef) a scaled identity block."""
-        return BlockMap(src, dst, {(dl, sl): Fr(c) for dl, sl, c in pairs})
+        return BlockMap(src, dst, {(dl, sl): c for dl, sl, c in pairs})
 
     @staticmethod
     def from_dense(src: Grading, dst: Grading, mat: RatMat) -> BlockMap:
@@ -183,11 +226,14 @@ class BlockMap:
             lst = by_mid.get(ml)
             if not lst:
                 continue
-            do = self.dst.dim(dl)
             for sl, e2 in lst:
-                prod = _entry_mul(e1, e2)
                 key = (dl, sl)
-                acc[key] = _entry_add(acc.get(key), prod, do, other.src.dim(sl))
+                prev = acc.get(key)
+                if type(e1) is int and type(e2) is int:
+                    # a product of nonzero ints is a nonzero int
+                    acc[key] = e1 * e2 if prev is None else _entry_add(prev, e1 * e2)
+                else:
+                    acc[key] = _entry_add(prev, _entry_mul(e1, e2))
         return BlockMap._raw(other.src, self.dst, {k: v for k, v in acc.items() if v is not None})
 
     def __add__(self, other: BlockMap) -> BlockMap:
@@ -195,8 +241,7 @@ class BlockMap:
             raise DimensionMismatch("sum gradings do not match")
         acc = dict(self.blocks)
         for key, e in other.blocks.items():
-            dl, sl = key
-            cur = _entry_add(acc.get(key), e, self.dst.dim(dl), self.src.dim(sl))
+            cur = _entry_add(acc.get(key), e)
             if cur is None:
                 acc.pop(key, None)
             else:
@@ -204,31 +249,36 @@ class BlockMap:
         return BlockMap._raw(self.src, self.dst, acc)
 
     def __neg__(self) -> BlockMap:
-        return self.scale(Fr(-1))
+        return self.scale(-1)
 
     def __sub__(self, other: BlockMap) -> BlockMap:
         return self + (-other)
 
     def scale(self, c) -> BlockMap:
-        c = Fr(c)
+        c = _scalar(c)
         if not c:
             return BlockMap.zero(self.src, self.dst)
         return BlockMap._raw(
-            self.src,
-            self.dst,
-            {k: (e * c if isinstance(e, Fraction) else e.scale(c)) for k, e in self.blocks.items()},
+            self.src, self.dst, {k: _entry_mul(e, c) for k, e in self.blocks.items()}
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockMap):
             return NotImplemented
-        if self.src != other.src or self.dst != other.dst:
+        if (self.src is not other.src and self.src != other.src) or (
+            self.dst is not other.dst and self.dst != other.dst
+        ):
             return False
-        for key in self.blocks.keys() | other.blocks.keys():
-            dl, sl = key
-            if not _entries_equal(
-                self.blocks.get(key), other.blocks.get(key), self.dst.dim(dl), self.src.dim(sl)
-            ):
+        # no stored block is zero, so maps with different supports differ
+        if self.blocks.keys() != other.blocks.keys():
+            return False
+        theirs = other.blocks
+        for key, a in self.blocks.items():
+            b = theirs[key]
+            if type(a) is RatMat or type(b) is RatMat:
+                if not _entries_equal(a, b):
+                    return False
+            elif a != b:
                 return False
         return True
 
@@ -249,7 +299,7 @@ class BlockMap:
             doff = self.dst.offset(dl)
             si = self.src.dim(sl)
             piece = vec[soff : soff + si]
-            if isinstance(e, Fraction):
+            if type(e) is not RatMat:
                 for r in range(si):
                     if piece[r]:
                         out[doff + r] += e * piece[r]
@@ -269,7 +319,8 @@ class BlockMap:
             soff = self.src.offset(sl)
             doff = self.dst.offset(dl)
             si = self.src.dim(sl)
-            if isinstance(e, Fraction):
+            if type(e) is not RatMat:
+                e = Fraction(e)
                 for r in range(si):
                     out.data[doff + r][soff + r] = e
             else:
@@ -277,19 +328,18 @@ class BlockMap:
                     out.data[doff + r][soff : soff + si] = row[:]
         return out
 
-    def sparse_rows(self) -> list[dict[int, Fraction]]:
+    def sparse_rows(self) -> list[dict[int, Scalar]]:
         """Rows of the dense matrix as sparse dicts over source coordinates (cached)."""
         if self._rows is not None:
             return self._rows
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.dst.total)]
+        rows: list[dict[int, Scalar]] = [dict() for _ in range(self.dst.total)]
         for (dl, sl), e in self.blocks.items():
             soff = self.src.offset(sl)
             doff = self.dst.offset(dl)
             si = self.src.dim(sl)
-            if isinstance(e, Fraction):
-                ei = int(e) if e.denominator == 1 else e
+            if type(e) is not RatMat:
                 for r in range(si):
-                    rows[doff + r][soff + r] = rows[doff + r].get(soff + r, 0) + ei
+                    rows[doff + r][soff + r] = rows[doff + r].get(soff + r, 0) + e
             else:
                 for r, row in enumerate(e.data):
                     tgt = rows[doff + r]
@@ -302,7 +352,7 @@ class BlockMap:
 
     def is_transport(self) -> bool:
         """True when every block is a scalar identity."""
-        return all(isinstance(e, Fraction) for e in self.blocks.values())
+        return all(type(e) is not RatMat for e in self.blocks.values())
 
     def __repr__(self):
         return f"BlockMap({self.dst.total}x{self.src.total}, {len(self.blocks)} blocks)"

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ValidationError
 from .exactla import Fr, RatMat, Subspace
-from .graded import BlockMap, Grading
+from .graded import BlockMap, Grading, _as_scalar
 from .groupoid import FinGroupoid, NerveSimplex
 from .ordmaps import (
     d0_row,
@@ -26,18 +25,6 @@ from .ordmaps import (
 )
 from .ruth import GaugeData, GradedBundle, Ruth, RuthMorphism, validate_ruth
 from .svb import BundleMap, Cleavage, SimpVB, canonical_cleavage, explicit_cleavage
-
-
-def _as_scalar(mat: RatMat) -> Fraction | None:
-    """c when mat == c * identity, else None."""
-    if mat.rows != mat.cols:
-        return None
-    c = mat.data[0][0] if mat.rows else Fr(0)
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if mat.data[i][j] != (c if i == j else 0):
-                return None
-    return c
 
 
 def sdp_grading(E: GradedBundle, G: FinGroupoid, n: int, s: NerveSimplex) -> Grading:
@@ -75,7 +62,7 @@ class SdpBundle(SimpVB):
                     if src.dim(term.source_mask) == 0:
                         continue
                     if term.case == "II":
-                        blocks[(beta, term.source_mask)] = Fr(term.sign)
+                        blocks[(beta, term.source_mask)] = term.sign
                         continue
                     h = G.restrict_vertices(s, term.tail)
                     deg = bin(term.source_mask).count("1") - 1
@@ -217,12 +204,7 @@ def d0_paths_agree(B: SdpBundle, levels=None) -> bool:
                     if dst.dim(beta) == 0:
                         continue
                     got = blockwise.blocks.get((beta, alpha))
-                    want = expected.get(beta)
-                    if isinstance(want, RatMat) and want.is_zero():
-                        want = None
-                    if isinstance(want, Fraction) and not want:
-                        want = None
-                    if not _entries_equal(got, want, dst.dim(beta), src.dim(alpha)):
+                    if not _entries_equal(got, expected.get(beta)):
                         return False
     return True
 

@@ -152,7 +152,7 @@ def horn_system(fc, n: int, k: int, key) -> HornSystem:
                     row = {oj + c: v for c, v in ra.items()}
                     for c, v in rb.items():
                         cc = oi + c
-                        nv = row.get(c + oi, Fraction(0)) - v
+                        nv = row.get(cc, 0) - v
                         if nv:
                             row[cc] = nv
                         else:

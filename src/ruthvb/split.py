@@ -431,7 +431,7 @@ def lower_morphism(phi: BundleMap, R_src: Ruth, R_dst: Ruth,
                 entry = bm.blocks.get((iota_mask, sigma_mask))
                 if entry is None:
                     continue
-                if isinstance(entry, Fraction):
+                if not isinstance(entry, RatMat):
                     mat = RatMat.identity(rows).scale(entry)
                 else:
                     mat = entry

@@ -161,13 +161,43 @@ def _missing_inverse(svb, cleavage, ruth):
     return ["validate", "groupoid", "groupoid.json"]
 
 
+def _mcap_string(svb, cleavage, ruth):
+    ruth["mcap"] = "x"
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _mcap_float(svb, cleavage, ruth):
+    ruth["mcap"] = 1.5
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _mcap_bool(svb, cleavage, ruth):
+    ruth["mcap"] = True
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _mcap_negative(svb, cleavage, ruth):
+    ruth["mcap"] = -3  # would pass the coherence tower without checking a level
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _mcap_flag_negative(svb, cleavage, ruth):
+    return ["validate", "ruth", "ruth.json", "--mcap", "-5"]
+
+
+def _mcap_flag_negative_build(svb, cleavage, ruth):
+    return ["build-sdp", "ruth.json", "--mcap", "-5"]
+
+
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
                                      _extra_cleavage_fiber, _negative_simplex,
                                      _unit_out_of_range, _negative_unit, _inverse_out_of_range,
                                      _negative_inverse, _composite_out_of_range,
                                      _negative_arrow_id, _negative_arrow_id_only,
                                      _duplicate_arrow_id, _negative_inverse_key,
-                                     _missing_inverse])
+                                     _missing_inverse, _mcap_string, _mcap_float, _mcap_bool,
+                                     _mcap_negative, _mcap_flag_negative,
+                                     _mcap_flag_negative_build])
 def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     """README promises exit code 2 on a malformed document, not a traceback."""
     R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))

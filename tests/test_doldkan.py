@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
 from conftest import random_chain_complex
+from ruthvb.documents import canonical_dumps
 from ruthvb.doldkan import (
     ChainComplex,
     Normalization,
@@ -22,6 +25,7 @@ from ruthvb.doldkan import (
 from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat, Subspace, intersect, kernel, preimage
 from ruthvb.graded import BlockMap
+from ruthvb.groupoid import POINT
 from ruthvb.ordmaps import zero_mono_masks
 from ruthvb.simplicial import (
     face_kernel,
@@ -31,7 +35,7 @@ from ruthvb.simplicial import (
     horn_space_basis,
     verify_simplicial_identities,
 )
-from ruthvb.svb import Cleavage, _witness_space
+from ruthvb.svb import Cleavage, SimpVB, _witness_space
 
 TWO_STEP = ChainComplex((1, 2, 1), {1: RatMat.from_rows([[1, 0]]), 2: RatMat.from_rows([[0], [1]])})
 
@@ -260,3 +264,62 @@ def test_surjection_labels_counts():
         assert len(labels) == 2 ** n
         for k in range(n + 1):
             assert sum(1 for l in labels if l[-1] == k) == comb(n, k)
+
+
+def _perturbed_dk(Y):
+    """dk(Y) with its (2, 1) face moved by 1/2 on one transport block."""
+    X = dk(Y)
+
+    def face(n, i, s=None):
+        f = X.face(n, i)
+        if (n, i) != (2, 1):
+            return f
+        dl, sl = next(iter(f.blocks))
+        return f + BlockMap.transport(f.src, f.dst, [(dl, sl, Fr(1, 2))])
+
+    return SimpVB(POINT, X.L, X.grading, face, X.deg, kind="dk-perturbed")
+
+
+def _identity_report_digests():
+    digests = []
+    for seed in range(10):
+        Y = random_chain_complex(random.Random(seed), 3, 2)
+        for build in (dk, dk_classic):
+            rep = verify_simplicial_identities(build(Y))
+            digests.append(hashlib.sha256(canonical_dumps(dataclasses.asdict(rep)).encode()).hexdigest())
+    rep = verify_simplicial_identities(_perturbed_dk(TWO_STEP))
+    assert not rep.ok
+    digests.append(hashlib.sha256(canonical_dumps(dataclasses.asdict(rep)).encode()).hexdigest())
+    return digests
+
+
+# sha256 of the canonical-JSON identity reports (checked count and violations)
+# of dk then dk_classic on random_chain_complex(Random(seed), 3, 2) for seeds
+# 0..9, then of TWO_STEP's dk with one face block moved by a non-integral rational
+PINNED_IDENTITY_REPORTS = [
+    "224830862b6959d81a250017b569bd239b0af9580ef762f969d4535f6aa55896",
+    "224830862b6959d81a250017b569bd239b0af9580ef762f969d4535f6aa55896",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "c0b8a04b85310b327ae55dd34f06d0668d1c1eded30e98b3ff0351e1915245df",
+    "c0b8a04b85310b327ae55dd34f06d0668d1c1eded30e98b3ff0351e1915245df",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "3c972b387b11e2b85319af23425da54222dd15f6ab59054c014faaea4ca81d89",
+    "3c972b387b11e2b85319af23425da54222dd15f6ab59054c014faaea4ca81d89",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "fc08c7d3c4daf848e3bd3e823a316b17d09b57434377fdb044041c00394d9f50",
+    "3c972b387b11e2b85319af23425da54222dd15f6ab59054c014faaea4ca81d89",
+    "3c972b387b11e2b85319af23425da54222dd15f6ab59054c014faaea4ca81d89",
+    "c0b8a04b85310b327ae55dd34f06d0668d1c1eded30e98b3ff0351e1915245df",
+    "c0b8a04b85310b327ae55dd34f06d0668d1c1eded30e98b3ff0351e1915245df",
+    "3c972b387b11e2b85319af23425da54222dd15f6ab59054c014faaea4ca81d89",
+    "3c972b387b11e2b85319af23425da54222dd15f6ab59054c014faaea4ca81d89",
+    "d7f0724220485d6069b105752d8d6ecab241ae229b8b3234856ab61949ab4680",
+]
+
+
+def test_identity_reports_pinned():
+    assert _identity_report_digests() == PINNED_IDENTITY_REPORTS

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruthvb.errors import DimensionMismatch
 from ruthvb.exactla import RatMat
@@ -71,6 +72,11 @@ def test_scalar_and_dense_blocks_compare_equal():
     b = BlockMap(g, g, {(0, 0): RatMat.identity(2).scale(3)})
     assert a == b
     assert BlockMap.identity(g) == BlockMap(g, g, {(0, 0): RatMat.identity(2)})
+    off = RatMat.identity(2).scale(3)
+    off.data[0][1] = Fr(1, 2)
+    for dense in (RatMat.identity(2).scale(Fr(5, 2)), off):
+        assert a != BlockMap(g, g, {(0, 0): dense})
+        assert BlockMap(g, g, {(0, 0): dense}) != a
 
 
 def test_transport_and_sparse_rows():
@@ -87,3 +93,94 @@ def test_zero_dim_blocks_dropped():
     dst = Grading((0,), (2,))
     m = BlockMap(src, dst, {(0, 0): RatMat.zeros(2, 0), (0, 1): Fr(2)})
     assert list(m.blocks) == [(0, 1)]
+
+
+# scalars and entries chosen so that products and sums cancel often: 2 * 1/2,
+# s + (-s), and dense products that vanish
+SCALARS = [1, -1, 2, -2, Fr(1, 2), Fr(-1, 2), Fr(3, 2), Fr(2), Fr(-1)]
+DENSE_ENTRIES = [Fr(0), Fr(0), Fr(0), Fr(1), Fr(-1), Fr(2), Fr(1, 2), Fr(-1, 2)]
+
+
+def gradings(size):
+    return st.tuples(*[st.integers(0, 3) for _ in range(size)]).map(
+        lambda dims: Grading(tuple(range(len(dims))), dims)
+    )
+
+
+def block_maps(data, src: Grading, dst: Grading) -> BlockMap:
+    blocks = {}
+    for dl in dst.labels:
+        for sl in src.labels:
+            do, si = dst.dim(dl), src.dim(sl)
+            kind = data.draw(st.sampled_from(["none", "scalar", "dense"] if do == si else ["none", "dense"]))
+            if kind == "scalar":
+                blocks[(dl, sl)] = data.draw(st.sampled_from(SCALARS))
+            elif kind == "dense":
+                blocks[(dl, sl)] = RatMat(do, si, [
+                    [data.draw(st.sampled_from(DENSE_ENTRIES)) for _ in range(si)] for _ in range(do)
+                ])
+    return BlockMap(src, dst, blocks)
+
+
+def assert_stored(m: BlockMap):
+    """Scalar blocks are ints, or Fractions that are not integral; none is zero."""
+    for e in m.blocks.values():
+        if isinstance(e, RatMat):
+            assert not e.is_zero()
+        else:
+            assert type(e) is int or (type(e) is Fr and e.denominator != 1)
+            assert e != 0
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_algebra_matches_dense(data):
+    ga, gb, gc = data.draw(gradings(3)), data.draw(gradings(2)), data.draw(gradings(3))
+    f, h = block_maps(data, ga, gb), block_maps(data, ga, gb)
+    g = block_maps(data, gb, gc)
+    c = data.draw(st.sampled_from(SCALARS + [0]))
+    F, H, G = f.to_dense(), h.to_dense(), g.to_dense()
+    results = {
+        "compose": (g.compose(f), G @ F),
+        "add": (f + h, F + H),
+        "sub": (f - h, F - H),
+        "neg": (-f, -F),
+        "scale": (f.scale(c), F.scale(c)),
+        "double": (f.scale(2), F.scale(2)),
+        "cancel": (f + (-f), RatMat.zeros(F.rows, F.cols)),
+    }
+    for name, (m, dense) in results.items():
+        assert_stored(m)
+        assert m.to_dense() == dense, name
+        assert all(type(x) is Fr for row in m.to_dense().data for x in row)
+        # equality against the same map held as dense blocks compares c*I with c
+        assert m == BlockMap.from_dense(m.src, m.dst, dense), name
+        if dense.rows and dense.cols:
+            moved = dense.copy()
+            i, j = data.draw(st.integers(0, dense.rows - 1)), data.draw(st.integers(0, dense.cols - 1))
+            moved.data[i][j] += Fr(1, 2)
+            assert m != BlockMap.from_dense(m.src, m.dst, moved), name
+    assert results["cancel"][0].is_zero()
+    assert (f == h) == (F == H)
+    assert_stored(f)
+    vec = tuple(data.draw(st.sampled_from(DENSE_ENTRIES)) for _ in range(ga.total))
+    assert f.apply(vec) == F.apply(vec)
+    rows = f.sparse_rows()
+    assert all(v for r in rows for v in r.values())
+    assert [[Fr(r.get(j, 0)) for j in range(ga.total)] for r in rows] == F.data
+
+
+def test_cancellations_keep_storage_rule():
+    g1, g2 = Grading((0,), (1,)), Grading((0,), (2,))
+    half = BlockMap(g1, g1, {(0, 0): Fr(1, 2)})
+    assert half.blocks[(0, 0)] == Fr(1, 2)
+    two = BlockMap(g1, g1, {(0, 0): Fr(2)})
+    assert type(two.blocks[(0, 0)]) is int
+    assert type(two.compose(half).blocks[(0, 0)]) is int
+    assert two.compose(half) == BlockMap.identity(g1)
+    assert type(half.scale(2).blocks[(0, 0)]) is int
+    assert (half + half.scale(-1)).is_zero()
+    a = BlockMap(g2, g2, {(0, 0): RatMat.from_rows([[1, 0], [0, 0]])})
+    b = BlockMap(g2, g2, {(0, 0): RatMat.from_rows([[0, 0], [0, 1]])})
+    assert a.compose(b).is_zero() and not a.compose(b).blocks
+    assert BlockMap(g2, g2, {(0, 0): Fr(0)}).is_zero()
