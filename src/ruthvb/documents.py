@@ -47,6 +47,8 @@ def mat_from_json(rows, where="") -> RatMat:
     data = [[rat_from_str(x, where) for x in row] for row in rows]
     if not data:
         return RatMat(0, 0, [])
+    if any(len(row) != len(data[0]) for row in data):
+        raise ValueError(f"ragged matrix at {where}")
     return RatMat(len(data), len(data[0]), data)
 
 
@@ -61,6 +63,13 @@ def _reading(kind: str):
         yield
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed {kind} document: missing or bad field {e}") from None
+
+
+def _count(x, what: str) -> int:
+    """x itself when it is a non-negative int (a bool or a float is not)."""
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{what} must be a non-negative integer, not {x!r}")
+    return x
 
 
 def _per_simplex(G: FinGroupoid, n: int, entries):
@@ -137,11 +146,14 @@ def chain_from_doc(doc: dict):
     from .doldkan import ChainComplex
 
     with _reading("chain complex"):
-        dims = doc["dims"]
-        boundary = {
-            int(n): mat_from_json(rows, f"boundary[{n}]")
-            for n, rows in doc.get("boundary", {}).items()
-        }
+        dims = [_count(d, "dims entry") for d in doc["dims"]]
+        boundary = {}
+        for key, rows in doc.get("boundary", {}).items():
+            n = int(key)
+            if not 0 < n < len(dims):
+                raise ValueError(f"boundary[{key}] has no degree {n} to start from")
+            mat = mat_from_json(rows, f"boundary[{key}]")
+            boundary[n] = mat if mat.rows else RatMat.zeros(0, dims[n])  # [] is every 0 x c
     return ChainComplex(dims, boundary)
 
 
@@ -174,7 +186,8 @@ def ruth_from_doc(doc: dict) -> Ruth:
     with _reading("ruth"):
         G = groupoid_from_doc(doc["groupoid"])
         oidx = {name: i for i, name in enumerate(G.objects)}
-        E = GradedBundle(G, {oidx[name]: tuple(v) for name, v in doc["dims"].items()})
+        E = GradedBundle(G, {oidx[name]: tuple(_count(d, "dims entry") for d in v)
+                             for name, v in doc["dims"].items()})
         ops: dict = {}
         for entry in doc.get("operators", []):
             m = entry["m"]
@@ -184,8 +197,8 @@ def ruth_from_doc(doc: dict) -> Ruth:
             table = ops.setdefault((m, s), {})
             table[entry["degree"]] = mat_from_json(entry["matrix"], f"operator m={m}")
         m_cap = doc.get("mcap")
-        if m_cap is not None and (type(m_cap) is not int or m_cap < 0):
-            raise ValueError(f"mcap must be a non-negative integer, not {m_cap!r}")
+        if m_cap is not None:
+            _count(m_cap, "mcap")
     return Ruth(E, ops, m_cap=m_cap)
 
 
@@ -258,11 +271,12 @@ def svb_from_doc(doc: dict) -> SimpVB:
 
     with _reading("svb"):
         G = groupoid_from_doc(doc["groupoid"])
-        L = doc["L"]
+        L = _count(doc["L"], "L")
         gradings = {}
         for n in range(L + 1):
             for s, blocks in _per_simplex(G, n, doc["fibers"][str(n)]):
-                gradings[(n, s)] = Grading(tuple(b[0] for b in blocks), tuple(b[1] for b in blocks))
+                gradings[(n, s)] = Grading(tuple(b[0] for b in blocks),
+                                           tuple(_count(b[1], "block dimension") for b in blocks))
         face_mats = _structure_mats(G, doc.get("faces", {}), range(1, L + 1), -1, gradings, "face")
         deg_mats = _structure_mats(G, doc.get("degeneracies", {}), range(L), 1, gradings,
                                    "degeneracy")

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with arbitrary-precision Fraction entries, canonical subspaces
-in reduced row echelon form, and a sparse exact eliminator for the large but
-very sparse systems produced by face-map constraints.  No floating point
-anywhere; equality of subspaces is equality of representations.  All values
-are immutable in practice and safe to share between threads.
+Dense matrices with arbitrary-precision Fraction entries and canonical
+subspaces in reduced row echelon form.  There is one eliminator: a sparse
+forward elimination over {column: coefficient} rows, with integral entries
+kept as ints, and one back-substitution.  It decides the rank, RREF, kernel,
+inverse and solvers of dense matrices as well as the large but very sparse
+systems produced by face-map constraints.  No floating point anywhere;
+equality of subspaces is equality of representations.  All values are
+immutable in practice and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -150,44 +153,30 @@ class RatMat:
         data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
         return RatMat(rows, sum(m.cols for m in mats), data)
 
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        """Rows as {column: entry} dicts, integral entries as ints."""
+        return [
+            {j: a.numerator if a.denominator == 1 else a for j, a in enumerate(row) if a}
+            for row in self.data
+        ]
+
     def rref(self) -> tuple[RatMat, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [a * inv for a in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    mr = m[r]
-                    m[i] = [a - f * b for a, b in zip(m[i], mr)]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RatMat(self.rows, self.cols, m), tuple(pivots)
+        reduced = _back_substitute(_sparse_eliminate(self._sparse_rows()))
+        pivots = tuple(sorted(reduced))
+        data = [[ZERO] * self.cols for _ in range(self.rows)]
+        for row, pv in zip(data, pivots):
+            for v, c in reduced[pv].items():
+                row[v] = Fr(c)
+        return RatMat(self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_sparse_eliminate(self._sparse_rows()))
 
     def inverse(self) -> RatMat:
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        aug = RatMat.hstack([self, RatMat.identity(self.rows)])
-        red, piv = aug.rref()
-        if len(piv) < self.rows or any(p >= self.rows for p in piv):
-            raise NonUniqueSolutionError("matrix is singular")
-        return RatMat(self.rows, self.rows, [row[self.rows:] for row in red.data])
+        return left_solver(self)
 
     def __repr__(self):
         return f"RatMat({self.rows}x{self.cols})"
@@ -278,14 +267,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
     def contains(self, vec) -> bool:
-        v = [Fr(x) for x in vec]
-        for row in self.mat.data:
-            # rows are RREF: pivot entry 1 at the leading column
-            lead = next(j for j, a in enumerate(row) if a)
-            f = v[lead]
-            if f:
-                v = [x - f * b for x, b in zip(v, row)]
-        return all(not x for x in v)
+        return RatMat.vstack([self.mat, RatMat.from_rows([vec], self.ambient)]).rank() == self.dim
 
     def coordinates(self, vec) -> tuple[Fraction, ...]:
         """Coefficients of vec in the basis rows; raises if not a member."""
@@ -300,17 +282,8 @@ class Subspace:
 
 def kernel(A: RatMat) -> Subspace:
     """Exact null space {x : A x = 0} with canonical RREF basis."""
-    red, piv = A.rref()
-    pivset = set(piv)
-    free = [c for c in range(A.cols) if c not in pivset]
-    rows = []
-    for f in free:
-        v = [ZERO] * A.cols
-        v[f] = ONE
-        for r, c in enumerate(piv):
-            v[c] = -red.data[r][f]
-        rows.append(v)
-    return Subspace.from_rows(A.cols, rows)
+    basis = sparse_kernel_basis(A._sparse_rows(), A.cols)
+    return Subspace.from_rows(A.cols, dense_rows_from_sparse(basis, A.cols))
 
 
 def image(A: RatMat, S: Subspace | None = None) -> Subspace:
@@ -352,19 +325,23 @@ def is_complement(S: Subspace, T: Subspace, ambient: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact elimination.
+# The eliminator.
 #
 # Face-map constraint systems are huge but mostly single- or double-entry
-# rows; plain dense elimination would dominate the whole library's runtime.
-# Rows are dicts {var: coefficient}.
+# rows, and dense matrices here are mostly zeros and small integers.  Rows
+# are dicts {var: coefficient}; every rank, RREF, kernel and solve above
+# runs on these two routines.
 # ---------------------------------------------------------------------------
 
 
 def _sparse_eliminate(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
     """Forward-eliminate sparse rows; returns pivot-variable -> normalized row.
 
+    Each pivot is the least variable of its row, and a pivot row is never
+    edited once stored, so the pivots are the RREF pivot columns.  The input
+    dicts are copied, never changed (callers hand in cached rows).
     Coefficients may be ints or Fractions (mixed arithmetic stays exact);
-    unit coefficients take agcd-free path since transport rows dominate.
+    unit coefficients take a division-free path since transport rows dominate.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     queue = sorted((r for r in rows if r), key=len)
@@ -423,6 +400,28 @@ def _sparse_eliminate(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fr
     return pivots
 
 
+def _back_substitute(pivots: dict[int, dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduce each pivot row, in place, to its pivot plus free variables.
+
+    Every other variable of a pivot row is larger than its pivot, so rows
+    taken from the largest pivot down meet only rows already reduced, and
+    one pass leaves the unique reduced row echelon form.
+    """
+    for pv in sorted(pivots, reverse=True):
+        row = pivots[pv]
+        for v in [v for v in row if v != pv and v in pivots]:
+            c = row.pop(v)
+            for v2, c2 in pivots[v].items():
+                if v2 == v:
+                    continue
+                nv = row.get(v2, 0) - c * c2
+                if nv:
+                    row[v2] = nv
+                else:
+                    row.pop(v2, None)
+    return pivots
+
+
 def sparse_rank(rows: list[dict[int, Fraction]], nvars: int) -> int:
     return len(_sparse_eliminate(rows))
 
@@ -434,31 +433,10 @@ def sparse_kernel_basis(rows: list[dict[int, Fraction]], nvars: int) -> list[dic
     back-substituted.  The result is triangular with respect to the free
     variables, hence canonical for a fixed variable order.
     """
-    pivots = _sparse_eliminate(rows)
-    # back-substitute so each pivot row mentions only free variables
-    order = sorted(pivots, reverse=True)
-    for pv in order:
-        row = pivots[pv]
-        changed = True
-        while changed:
-            changed = False
-            for v in list(row):
-                if v != pv and v in pivots:
-                    c = row.pop(v)
-                    for v2, c2 in pivots[v].items():
-                        if v2 == v:
-                            continue
-                        nv = row.get(v2, 0) - c * c2
-                        if nv:
-                            row[v2] = nv
-                        else:
-                            row.pop(v2, None)
-                    changed = True
-                    break
+    pivots = _back_substitute(_sparse_eliminate(rows))
     basis = []
-    pivset = set(pivots)
     for f in range(nvars):
-        if f in pivset:
+        if f in pivots:
             continue
         vec = {f: ONE}
         for pv, row in pivots.items():

@@ -350,9 +350,5 @@ class BlockMap:
         self._rows = [{k: v for k, v in r.items() if v} for r in rows]
         return self._rows
 
-    def is_transport(self) -> bool:
-        """True when every block is a scalar identity."""
-        return all(type(e) is not RatMat for e in self.blocks.values())
-
     def __repr__(self):
         return f"BlockMap({self.dst.total}x{self.src.total}, {len(self.blocks)} blocks)"

@@ -7,7 +7,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_gauge, random_strict_ruth
+from conftest import random_chain_complex, random_gauge, random_strict_ruth
 from ruthvb import documents as docs
 from ruthvb.cli import main
 from ruthvb.doldkan import ChainComplex
@@ -83,6 +83,30 @@ def test_svb_doc_roundtrip_zero_dim_fibers(make_tower):
     V = docs.svb_from_doc(json.loads(text))
     assert docs.canonical_dumps(docs.svb_to_doc(V)) == text
     assert verify_simplicial_identities(V).ok
+
+
+def test_chain_doc_roundtrip():
+    """Chain-complex documents round-trip byte for byte, zero-dimensional degrees included."""
+    rng = random.Random(11)
+    draws = [random_chain_complex(rng) for _ in range(40)]
+    draws.append(ChainComplex((2, 0, 1), {}))
+    assert any(0 in Y.dims[:-1] for Y in draws)  # some 0 x c boundary is written as []
+    for Y in draws:
+        text = docs.canonical_dumps(docs.chain_to_doc(Y))
+        Z = docs.chain_from_doc(json.loads(text))
+        assert Z == Y
+        assert docs.canonical_dumps(docs.chain_to_doc(Z)) == text
+
+
+@pytest.mark.parametrize("boundary", [
+    {"1": [["1", "0"], ["0"]]},  # ragged
+    {"2": [["1", "0"], ["0", "1"]]},  # no degree 2: would be dropped silently
+    {"0": [["1", "0"], ["0", "1"]]},
+], ids=["ragged", "above-top", "degree-0"])
+def test_chain_doc_bad_boundary(boundary):
+    doc = {"kind": "chain_complex", "dims": [2, 2], "boundary": boundary}
+    with pytest.raises(ValidationError):
+        docs.chain_from_doc(doc)
 
 
 def _drop_L(svb, cleavage, ruth):
@@ -189,6 +213,42 @@ def _mcap_flag_negative_build(svb, cleavage, ruth):
     return ["build-sdp", "ruth.json", "--mcap", "-5"]
 
 
+def _ragged(rows):
+    rows.append(rows[0] + ["0"])  # one row longer than the others
+
+
+def _ragged_operator(svb, cleavage, ruth):
+    _ragged(ruth["operators"][0]["matrix"])
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _ragged_face(svb, cleavage, ruth):
+    _ragged(svb["faces"]["1"][0][0])
+    return ["validate", "svb", "svb.json"]
+
+
+def _ragged_cleavage(svb, cleavage, ruth):
+    _ragged(cleavage["fibers"]["1"][0])
+    return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
+
+
+def _negative_tower_dim(svb, cleavage, ruth):
+    ruth["dims"]["o0"][1] = -1
+    ruth["operators"] = []  # no stored block whose shape could disagree
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _negative_L(svb, cleavage, ruth):
+    svb["L"] = -1  # would check no level at all
+    return ["validate", "svb", "svb.json"]
+
+
+def _negative_block_dim(svb, cleavage, ruth):
+    svb["L"] = 0  # level 0 has no faces that could disagree with the block
+    svb["fibers"]["0"][0][0][1] = -1
+    return ["validate", "svb", "svb.json"]
+
+
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
                                      _extra_cleavage_fiber, _negative_simplex,
                                      _unit_out_of_range, _negative_unit, _inverse_out_of_range,
@@ -197,7 +257,9 @@ def _mcap_flag_negative_build(svb, cleavage, ruth):
                                      _duplicate_arrow_id, _negative_inverse_key,
                                      _missing_inverse, _mcap_string, _mcap_float, _mcap_bool,
                                      _mcap_negative, _mcap_flag_negative,
-                                     _mcap_flag_negative_build])
+                                     _mcap_flag_negative_build, _ragged_operator, _ragged_face,
+                                     _ragged_cleavage, _negative_tower_dim, _negative_L,
+                                     _negative_block_dim])
 def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     """README promises exit code 2 on a malformed document, not a traceback."""
     R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))

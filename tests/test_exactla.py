@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruthvb.errors import NoSolutionError, NonUniqueSolutionError
+from ruthvb.errors import DimensionMismatch, NoSolutionError, NonUniqueSolutionError
 from ruthvb.exactla import (
     RatMat,
     Subspace,
@@ -119,7 +119,7 @@ def test_image_preimage_adjunction(data):
 
 @given(st.data())
 @settings(max_examples=40)
-def test_zassenhaus_dimension_formula(data):
+def test_sum_intersection_dimension_formula(data):
     rows1 = data.draw(st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=3))
     rows2 = data.draw(st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=3))
     S = Subspace.from_rows(4, rows1)
@@ -147,8 +147,10 @@ def test_sparse_agrees_with_dense():
             {j: v for j, v in enumerate(row) if v} for row in A.data
         ]
         rows = [rw for rw in rows if rw]
+        snapshot = [dict(rw) for rw in rows]
         assert sparse_rank(rows, c) == A.rank()
         basis = sparse_kernel_basis(rows, c)
+        assert rows == snapshot  # cached rows are handed in; the eliminator must copy
         K = Subspace.from_rows(c, dense_rows_from_sparse(basis, c))
         assert K == kernel(A)
 
@@ -158,3 +160,128 @@ def test_solve_matrix():
     X = RatMat.from_rows([[1, 0], [2, 5]])
     B = A @ X
     assert solve_matrix(A, B) == X
+
+
+# ---------------------------------------------------------------------------
+# Reference: the dense Fraction Gauss-Jordan elimination that the sparse
+# eliminator replaced, and the solvers as they were written on top of it.
+# ---------------------------------------------------------------------------
+
+
+def _gauss_jordan(A):
+    m = [row[:] for row in A.data]
+    pivots = []
+    r = 0
+    for c in range(A.cols):
+        pr = next((i for i in range(r, A.rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [a * inv for a in m[r]]
+        for i in range(A.rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == A.rows:
+            break
+    return m, tuple(pivots)
+
+
+def _ref_kernel(A):
+    red, piv = _gauss_jordan(A)
+    rows = []
+    for f in sorted(set(range(A.cols)) - set(piv)):
+        v = [Fr(0)] * A.cols
+        v[f] = Fr(1)
+        for r, c in enumerate(piv):
+            v[c] = -red[r][f]
+        rows.append(v)
+    red, piv = _gauss_jordan(RatMat.from_rows(rows, A.cols))
+    return red[: len(piv)]
+
+
+def _ref_inverse(A):
+    if A.rows != A.cols:
+        raise DimensionMismatch
+    red, piv = _gauss_jordan(RatMat.hstack([A, RatMat.identity(A.rows)]))
+    if len(piv) < A.rows or any(p >= A.rows for p in piv):
+        raise NonUniqueSolutionError
+    return [row[A.rows:] for row in red]
+
+
+def _ref_left_solver(M):
+    red, piv = _gauss_jordan(RatMat.hstack([M, RatMat.identity(M.rows)]))
+    main = [(r, p) for r, p in enumerate(piv) if p < M.cols]
+    if len(main) < M.cols:
+        raise NonUniqueSolutionError
+    L = [[Fr(0)] * M.rows for _ in range(M.cols)]
+    for r, p in main:
+        L[p] = red[r][M.cols:]
+    return L
+
+
+def _ref_solve_matrix(A, B):
+    red, piv = _gauss_jordan(RatMat.hstack([A, B]))
+    if any(p >= A.cols for p in piv):
+        raise NoSolutionError
+    if len(piv) < A.cols:
+        raise NonUniqueSolutionError
+    X = [[Fr(0)] * B.cols for _ in range(A.cols)]
+    for r, c in enumerate(piv):
+        X[c] = red[r][A.cols:]
+    return X
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the class of the exception it raised."""
+    try:
+        out = fn(*args)
+    except (NoSolutionError, NonUniqueSolutionError, DimensionMismatch) as e:
+        return type(e)
+    return out.data if isinstance(out, RatMat) else out
+
+
+def _exact(data):
+    return all(type(x) is Fr for row in data for x in row)
+
+
+# rows drawn whole from zero rows, integral rows and fractional rows, so that
+# zero rows, repeated rows and non-integral pivots all occur
+def _rows(cols):
+    zero = st.just([0] * cols)
+    integral = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    fractional = st.lists(rationals, min_size=cols, max_size=cols)
+    return st.one_of(zero, integral, fractional)
+
+
+def _mat(data, rows, cols):
+    return RatMat.from_rows(data.draw(st.lists(_rows(cols), min_size=rows, max_size=rows)), cols)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_eliminator_matches_gauss_jordan(data):
+    """rref, rank, kernel and the solvers agree exactly with the dense reference,
+    on empty, tall and wide shapes, including their exception classes."""
+    r = data.draw(st.integers(0, 6), label="rows")
+    c = data.draw(st.one_of(st.just(r), st.integers(0, 6)), label="cols")  # square half the time
+    A = _mat(data, r, c)
+    before = A.copy()
+    red, piv = A.rref()
+    assert (red.data, piv) == _gauss_jordan(A)
+    assert (red.rows, red.cols) == (r, c) and _exact(red.data)
+    assert A == before  # the input is never touched
+    assert A.rank() == len(piv)
+    K = kernel(A)
+    assert K.mat.data == _ref_kernel(A) and _exact(K.mat.data)
+    assert K.dim + len(piv) == c
+    # the row space meets the kernel only in 0 (it is its orthogonal complement)
+    assert all(K.contains(row) for row in K.mat.data)
+    assert not any(K.contains(row) for row in red.data[: len(piv)])
+    assert _outcome(left_solver, A) == _outcome(_ref_left_solver, A)
+    assert _outcome(RatMat.inverse, A) == _outcome(_ref_inverse, A)
+    B = _mat(data, r, data.draw(st.integers(0, 3), label="rhs cols"))
+    assert _outcome(solve_matrix, A, B) == _outcome(_ref_solve_matrix, A, B)

@@ -85,7 +85,6 @@ def test_transport_and_sparse_rows():
     t = BlockMap.transport(src, dst, [(1, 0, 1)])
     rows = t.sparse_rows()
     assert rows[dst.offset(1)] == {src.offset(0): Fr(1)}
-    assert t.is_transport()
 
 
 def test_zero_dim_blocks_dropped():
