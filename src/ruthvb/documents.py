@@ -190,12 +190,12 @@ def ruth_from_doc(doc: dict) -> Ruth:
                              for name, v in doc["dims"].items()})
         ops: dict = {}
         for entry in doc.get("operators", []):
-            m = entry["m"]
-            if entry["simplex"] < 0:  # Python would wrap it around
-                raise IndexError(f"negative simplex index {entry['simplex']}")
-            s = G.nerve_level(m)[entry["simplex"]]
+            # a negative index would wrap around, a bool would index as 0 or 1
+            m = _count(entry["m"], "operator m")
+            s = G.nerve_level(m)[_count(entry["simplex"], "operator simplex")]
             table = ops.setdefault((m, s), {})
-            table[entry["degree"]] = mat_from_json(entry["matrix"], f"operator m={m}")
+            table[_count(entry["degree"], "operator degree")] = mat_from_json(
+                entry["matrix"], f"operator m={m}")
         m_cap = doc.get("mcap")
         if m_cap is not None:
             _count(m_cap, "mcap")
@@ -280,7 +280,6 @@ def svb_from_doc(doc: dict) -> SimpVB:
         face_mats = _structure_mats(G, doc.get("faces", {}), range(1, L + 1), -1, gradings, "face")
         deg_mats = _structure_mats(G, doc.get("degeneracies", {}), range(L), 1, gradings,
                                    "degeneracy")
-        kind = doc.get("kind_hint", "generic")
 
     def grading(n, s):
         return gradings[(n, s)]
@@ -291,7 +290,7 @@ def svb_from_doc(doc: dict) -> SimpVB:
     def deg(n, j, s):
         return BlockMap.from_dense(grading(n, s), grading(n + 1, G.degeneracy(s, j)), deg_mats[(n, j, s)])
 
-    return SimpVB(G, L, grading, face, deg, kind=kind)
+    return SimpVB(G, L, grading, face, deg)
 
 
 def cleavage_to_doc(V: SimpVB, C: Cleavage) -> dict:
@@ -307,13 +306,15 @@ def cleavage_to_doc(V: SimpVB, C: Cleavage) -> dict:
 def cleavage_from_doc(V: SimpVB, doc: dict) -> Cleavage:
     table = {}
     with _reading("cleavage"):
+        if _count(doc["L"], "L") != V.L:
+            raise ValueError(f"cleavage L={doc['L']} but the bundle has L={V.L}")
         for n in range(1, V.L + 1):
             for s, rows in _per_simplex(V.base, n, doc["fibers"][str(n)]):
                 mat = mat_from_json(rows, f"cleavage n={n}")
                 if mat.rows and mat.cols != V.fiber_dim(n, s):
                     raise ValueError(f"cleavage n={n} has rows of length {mat.cols}")
                 table[(n, s)] = Subspace.from_rows(V.fiber_dim(n, s), mat.data)
-    return explicit_cleavage(V, table, name="loaded")
+    return explicit_cleavage(V, table)
 
 
 def load_document(path: str) -> dict:

@@ -1,12 +1,14 @@
 """Chain complexes, normalization, and two inverse constructions.
 
-The preferred inverse indexes level n by the injective order maps out of [k]
-into [n] that preserve 0 (encoded as bitmasks); the classical inverse indexes
-it by the surjections [n] ->> [k].  Both are built as block-structured
-simplicial vector spaces so that identity checks compose index transports
-rather than dense matrices.  A simplicial vector space is a SimpVB over
-POINT, the point groupoid, where the relative correspondence is the classical
-one; the flat-cleavage check reuses the bundle witness space.
+The preferred inverse dk indexes level n by the injective order maps out of
+[k] into [n] that preserve 0 (encoded as bitmasks): it is the semi-direct
+product over POINT, the point groupoid, with the chain complex as the tower
+(sdp.MaskBundle), which is how the relative correspondence restricts to the
+classical one.  The classical inverse dk_classic indexes level n by the
+surjections [n] ->> [k] and is written independently, as a comparison.
+Both are block-structured simplicial vector spaces (SimpVBs over POINT) so
+that identity checks compose index transports rather than dense matrices;
+the flat-cleavage check reuses the bundle witness space.
 """
 
 from __future__ import annotations
@@ -20,12 +22,8 @@ from .errors import ValidationError
 from .exactla import Fr, ONE, RatMat, Subspace, image, solve_matrix
 from .graded import BlockMap, Grading
 from .groupoid import POINT
-from .ordmaps import (
-    d0_row,
-    transport_degeneracy_table,
-    transport_face_table,
-    zero_mono_masks,
-)
+from .ordmaps import zero_mono_masks
+from .sdp import MaskBundle
 from .simplicial import horn_dim, horn_map_dense
 from .svb import Cleavage, SimpVB, _witness_space, relative_horn_kernel
 
@@ -89,8 +87,14 @@ def half_twist_sign(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def dk(Y: ChainComplex, L: int | None = None) -> SimpVB:
-    """Simplicial vector space on the 0-preserving mono indices of Y."""
+def dk(Y: ChainComplex, L: int | None = None) -> MaskBundle:
+    """Simplicial vector space on the 0-preserving mono indices of Y.
+
+    It is the semi-direct product over POINT with Y as the tower: the m = 0
+    prefix block is the boundary, unsigned because its (-1)^l is exactly
+    sign_flip, the m = 1 block is the identity with the term's sign, and
+    there are no higher operators.
+    """
     if L is None:
         L = Y.max_degree + 3
 
@@ -98,35 +102,12 @@ def dk(Y: ChainComplex, L: int | None = None) -> SimpVB:
         masks = zero_mono_masks(n)
         return Grading(masks, tuple(Y.dim(bin(m).count("1") - 1) for m in masks))
 
-    def face(n, i, s=None):
-        src, dst = me.grading(n), me.grading(n - 1)
-        if i > 0:
-            return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_face_table(n, i)])
-        # the semi-direct-product row over a point: identities for Case II and
-        # m = 1, the boundary for m = 0 (its (-1)^l is exactly sign_flip, so
-        # it is dropped here), and no higher operators
-        blocks = {}
-        for beta in zero_mono_masks(n - 1):
-            if dst.dim(beta) == 0:
-                continue
-            for term in d0_row(beta, n):
-                if src.dim(term.source_mask) == 0:
-                    continue
-                if term.case == "II" or term.m == 1:
-                    blocks[(beta, term.source_mask)] = term.sign
-                elif term.m == 0:
-                    blocks[(beta, term.source_mask)] = Y.d(bin(term.source_mask).count("1") - 1)
-        return BlockMap(src, dst, blocks)
+    def prefix_entry(term, s):
+        if term.m == 0:
+            return Y.d(bin(term.source_mask).count("1") - 1)
+        return term.sign if term.m == 1 else None
 
-    def deg(n, j, s=None):
-        src, dst = me.grading(n), me.grading(n + 1)
-        return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_degeneracy_table(n, j)])
-
-    X = SimpVB(POINT, L, grading, face, deg, kind="dk")
-    # faces read each level's grading off X, so composites share one object;
-    # a proxy keeps X out of a reference cycle with its own closures
-    me = weakref.proxy(X)
-    return X
+    return MaskBundle(POINT, L, grading, prefix_entry)
 
 
 def dk_sign_iso(Y: ChainComplex, L: int) -> dict[int, BlockMap]:
@@ -203,7 +184,7 @@ def dk_classic(Y: ChainComplex, L: int | None = None) -> SimpVB:
             blocks[(img, alpha)] = 1
         return BlockMap(src, dst, blocks)
 
-    X = SimpVB(POINT, L, grading, face, deg, kind="dk_classic")
+    X = SimpVB(POINT, L, grading, face, deg)
     me = weakref.proxy(X)
     return X
 
@@ -327,14 +308,13 @@ def chain_iso_onto(norm: Normalization, Y: ChainComplex, projection) -> dict[int
 
 
 def dk_projection(X: SimpVB, n: int) -> RatMat:
-    """Dense matrix of the top-index component of level n for either inverse model."""
+    """Dense matrix of the top-index component of level n for either inverse model.
+
+    The top label is the last one: the full mask for dk, the identity
+    surjection for dk_classic.
+    """
     g = X.grading(n)
-    if X.kind == "dk":
-        label = (1 << (n + 1)) - 1
-    elif X.kind == "dk_classic":
-        label = tuple(range(n + 1))
-    else:
-        raise ValueError("projection only defined for the two inverse models")
+    label = g.labels[-1]
     d = g.dim(label)
     off = g.offset(label)
     out = RatMat.zeros(d, g.total)

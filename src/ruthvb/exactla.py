@@ -21,6 +21,14 @@ ZERO = Fr(0)
 ONE = Fr(1)
 
 
+def _scalar(c) -> int | Fraction:
+    """c exactly: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class RatMat:
     """A rows x cols matrix of Fractions, row-major."""
 
@@ -163,12 +171,9 @@ class RatMat:
     def rref(self) -> tuple[RatMat, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         reduced = _back_substitute(_sparse_eliminate(self._sparse_rows()))
-        pivots = tuple(sorted(reduced))
-        data = [[ZERO] * self.cols for _ in range(self.rows)]
-        for row, pv in zip(data, pivots):
-            for v, c in reduced[pv].items():
-                row[v] = Fr(c)
-        return RatMat(self.rows, self.cols, data), pivots
+        data = _rref_rows(reduced, self.cols)
+        data.extend([ZERO] * self.cols for _ in range(self.rows - len(data)))
+        return RatMat(self.rows, self.cols, data), tuple(sorted(reduced))
 
     def rank(self) -> int:
         return len(_sparse_eliminate(self._sparse_rows()))
@@ -235,11 +240,19 @@ class Subspace:
         self._eqs = None
 
     @staticmethod
+    def span(ambient: int, sparse_rows: list[dict[int, Fraction]]) -> Subspace:
+        """The span of {column: coefficient} rows, eliminated once."""
+        data = _rref_rows(_back_substitute(_sparse_eliminate(sparse_rows)), ambient)
+        return Subspace(ambient, RatMat(len(data), ambient, data))
+
+    @staticmethod
     def from_rows(ambient: int, rows) -> Subspace:
-        if not rows:
-            return Subspace.zero(ambient)
-        red, piv = RatMat.from_rows(rows, ambient).rref()
-        return Subspace(ambient, RatMat(len(piv), ambient, red.data[: len(piv)]))
+        sparse = []
+        for row in rows:
+            if len(row) != ambient:
+                raise DimensionMismatch("basis width must equal ambient dimension")
+            sparse.append({j: c for j, c in enumerate(map(_scalar, row)) if c})
+        return Subspace.span(ambient, sparse)
 
     @staticmethod
     def zero(ambient: int) -> Subspace:
@@ -282,8 +295,7 @@ class Subspace:
 
 def kernel(A: RatMat) -> Subspace:
     """Exact null space {x : A x = 0} with canonical RREF basis."""
-    basis = sparse_kernel_basis(A._sparse_rows(), A.cols)
-    return Subspace.from_rows(A.cols, dense_rows_from_sparse(basis, A.cols))
+    return Subspace.span(A.cols, sparse_kernel_basis(A._sparse_rows(), A.cols))
 
 
 def image(A: RatMat, S: Subspace | None = None) -> Subspace:
@@ -422,6 +434,17 @@ def _back_substitute(pivots: dict[int, dict[int, Fraction]]) -> dict[int, dict[i
     return pivots
 
 
+def _rref_rows(pivots: dict[int, dict[int, Fraction]], nvars: int) -> list[list[Fraction]]:
+    """The back-substituted pivot rows as dense Fraction rows, in pivot order."""
+    out = []
+    for pv in sorted(pivots):
+        row = [ZERO] * nvars
+        for v, c in pivots[pv].items():
+            row[v] = Fr(c)
+        out.append(row)
+    return out
+
+
 def sparse_rank(rows: list[dict[int, Fraction]], nvars: int) -> int:
     return len(_sparse_eliminate(rows))
 
@@ -445,13 +468,3 @@ def sparse_kernel_basis(rows: list[dict[int, Fraction]], nvars: int) -> list[dic
                 vec[pv] = -c
         basis.append(vec)
     return basis
-
-
-def dense_rows_from_sparse(vecs: list[dict[int, Fraction]], nvars: int) -> list[list[Fraction]]:
-    out = []
-    for v in vecs:
-        row = [ZERO] * nvars
-        for i, c in v.items():
-            row[i] = Fr(c)
-        out.append(row)
-    return out

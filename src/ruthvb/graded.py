@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .exactla import ZERO, RatMat
+from .exactla import ZERO, RatMat, _scalar
 
 # a scalar block: int when integral, else a Fraction with denominator > 1
 Scalar = int | Fraction
@@ -65,14 +65,6 @@ class Grading:
     @staticmethod
     def single(dim: int, label=None) -> Grading:
         return Grading((label,), (dim,))
-
-
-def _scalar(c) -> Scalar:
-    """c as a stored scalar: an int when integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _as_scalar(mat: RatMat) -> Fraction | None:

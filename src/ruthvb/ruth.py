@@ -213,8 +213,8 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, witness, cap: int = 20):
-        if len(self.violations) < cap:
+    def add(self, witness):
+        if len(self.violations) < 20:
             self.violations.append(witness)
 
 
@@ -244,11 +244,10 @@ def rh2_sides(R: Ruth, m: int, s: NerveSimplex):
     return face_sum(R, m, s), convolve(R, R, m, s, alternate=True)
 
 
-def check_rh2(R: Ruth, m_cap: int | None = None) -> CheckReport:
+def check_rh2(R: Ruth) -> CheckReport:
     """The coherence tower: faces against shuffled compositions, all exact."""
     rep = CheckReport("rh2")
-    cap = R.m_cap if m_cap is None else m_cap
-    for m in range(cap + 1):
+    for m in range(R.m_cap + 1):
         for s in R.G.nerve_level(m):
             lhs, rhs = rh2_sides(R, m, s)
             rep.checked += 1
@@ -297,11 +296,11 @@ def rh4_sides(psi: RuthMorphism, m: int, s: NerveSimplex):
     return lhs, convolve(psi, psi.source, m, s, alternate=True)
 
 
-def check_morphism(psi: RuthMorphism, m_cap: int | None = None) -> CheckReport:
+def check_morphism(psi: RuthMorphism) -> CheckReport:
     """Degenerate vanishing plus the mixed coherence, all levels up to the cap."""
     rep = CheckReport("rh3+rh4")
     G = psi.G
-    cap = psi.source.m_cap if m_cap is None else m_cap
+    cap = psi.source.m_cap
     for m in range(1, cap + 1):
         for s in G.nerve_level(m):
             if G.is_degenerate(s):
@@ -496,7 +495,7 @@ def grothendieck(R: Ruth) -> LinearGroupoidData:
     return LinearGroupoidData(R)
 
 
-def gauge_twist(R: Ruth, psi: GaugeData, L: int | None = None) -> Ruth:
+def gauge_twist(R: Ruth, psi: GaugeData) -> Ruth:
     """Twist a tower by gauge data, through the bundle and back.
 
     Builds the semi-direct product, pulls the canonical cleavage back along
@@ -506,4 +505,4 @@ def gauge_twist(R: Ruth, psi: GaugeData, L: int | None = None) -> Ruth:
     """
     from .split import gauge_twist_via_split
 
-    return gauge_twist_via_split(R, psi, L)
+    return gauge_twist_via_split(R, psi)

@@ -1,9 +1,12 @@
 """The semi-direct product of a finite groupoid with an operator tower.
 
-Fibers at level n are indexed by the 0-preserving monos into [n]; positive
-faces and degeneracies are index transports, and the zeroth face combines
-operator blocks along tail arrows (prefix factorizations) with signed
-identities (interior deletions).  A second, source-indexed code path for the
+MaskBundle is the one mask-graded bundle: fibers at level n are indexed by
+the 0-preserving monos into [n], positive faces and degeneracies are index
+transports, and the zeroth face combines blocks along tail arrows (prefix
+factorizations) with signed identities (interior deletions).  The
+semi-direct product fills the prefix blocks with the tower's operators; over
+POINT, with a chain complex as the tower, the same bundle is doldkan.dk, the
+classical Dold-Kan inverse.  A second, source-indexed code path for the
 zeroth face acts as a built-in self-oracle for the sign bookkeeping.
 """
 
@@ -35,23 +38,25 @@ def sdp_grading(E: GradedBundle, G: FinGroupoid, n: int, s: NerveSimplex) -> Gra
     return Grading(masks, dims)
 
 
-class SdpBundle(SimpVB):
-    """build_sdp output: a mask-graded bundle remembering its tower."""
+class MaskBundle(SimpVB):
+    """A bundle whose level-n fibers are graded by the 0-preserving monos into [n].
 
-    def __init__(self, R: Ruth, L: int):
-        self.R = R
-        self.E = E = R.E
-        G = R.G
+    Positive faces and degeneracies are index transports.  The zeroth face
+    reads each target's d_0 row: an interior deletion (Case II) is a signed
+    identity, and a prefix (Case I) is prefix_entry(term, s), a stored block
+    or None for a zero one.  The semi-direct product is this bundle over a
+    groupoid; dk is the same bundle over POINT.
+    """
+
+    def __init__(self, base, L: int, grading_fn, prefix_entry):
         # The closures live on self; a strong reference back would make every
-        # bundle a cycle that only the cyclic collector frees.
+        # bundle a cycle that only the cyclic collector frees.  Faces read each
+        # level's grading off the bundle, so composites share one object.
         me = weakref.proxy(self)
-
-        def grading(n, s):
-            return sdp_grading(E, G, n, s)
 
         def face(n, i, s):
             src = me.grading(n, s)
-            dst = me.grading(n - 1, G.face(s, i))
+            dst = me.grading(n - 1, base.face(s, i))
             if i > 0:
                 return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_face_table(n, i)])
             blocks = {}
@@ -61,35 +66,48 @@ class SdpBundle(SimpVB):
                 for term in d0_row(beta, n):
                     if src.dim(term.source_mask) == 0:
                         continue
-                    if term.case == "II":
-                        blocks[(beta, term.source_mask)] = term.sign
+                    entry = term.sign if term.case == "II" else prefix_entry(term, s)
+                    if entry is None:
                         continue
-                    h = G.restrict_vertices(s, term.tail)
-                    deg = bin(term.source_mask).count("1") - 1
-                    mat = R.block(term.m, h, deg)
-                    if mat.is_zero():
-                        continue
-                    c = _as_scalar(mat)
-                    entry = c * term.sign if c is not None else mat.scale(term.sign)
                     key = (beta, term.source_mask)
-                    prev = blocks.get(key)
-                    if prev is None:
-                        blocks[key] = entry
-                    else:  # cannot happen: factorizations are unique
+                    if key in blocks:  # cannot happen: factorizations are unique
                         raise AssertionError("duplicate d_0 term")
+                    blocks[key] = entry
             return BlockMap(src, dst, blocks)
 
         def deg(n, j, s):
             src = me.grading(n, s)
-            dst = me.grading(n + 1, G.degeneracy(s, j))
+            dst = me.grading(n + 1, base.degeneracy(s, j))
             return BlockMap.transport(
                 src, dst, [(b, a, 1) for b, a in transport_degeneracy_table(n, j)]
             )
 
-        super().__init__(G, L, grading, face, deg, kind="sdp")
+        super().__init__(base, L, grading_fn, face, deg)
 
     def canonical_cleavage(self) -> Cleavage:
         return canonical_cleavage(self)
+
+
+class SdpBundle(MaskBundle):
+    """build_sdp output: a mask-graded bundle remembering its tower."""
+
+    def __init__(self, R: Ruth, L: int):
+        self.R = R
+        self.E = E = R.E
+        G = R.G
+
+        def grading(n, s):
+            return sdp_grading(E, G, n, s)
+
+        def prefix_entry(term, s):
+            h = G.restrict_vertices(s, term.tail)
+            mat = R.block(term.m, h, bin(term.source_mask).count("1") - 1)
+            if mat.is_zero():
+                return None
+            c = _as_scalar(mat)
+            return c * term.sign if c is not None else mat.scale(term.sign)
+
+        super().__init__(G, L, grading, prefix_entry)
 
 
 def build_sdp(R: Ruth, L: int | None = None, validate: bool = True) -> SdpBundle:
@@ -214,76 +232,63 @@ def d0_paths_agree(B: SdpBundle, levels=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _lift_row(G: FinGroupoid, src: Grading, block_provider, beta: int, s: NerveSimplex) -> dict:
+    """Blocks of the lift's target component beta: one per prefix of beta.
+
+    The prefix through the r-th element of beta receives the provider's
+    block along the tail from that element on.
+    """
+    elems = mask_to_tuple(beta)
+    l = len(elems) - 1
+    row = {}
+    smask = 0
+    for r, v in enumerate(elems):
+        smask |= 1 << v
+        if src.dim(smask) == 0:
+            continue
+        mat = block_provider(l - r, G.restrict_vertices(s, elems[r:]), r)
+        if mat.is_zero():
+            continue
+        c = _as_scalar(mat)
+        row[(beta, smask)] = c if c is not None else mat
+    return row
+
+
 def _lift_block_map(Vs: SimpVB, Vt: SimpVB, block_provider, n: int, s: NerveSimplex) -> BlockMap:
     """Level-preserving map with target components summing prefix restrictions."""
-    G = Vs.base
     src = Vs.grading(n, s)
     dst = Vt.grading(n, s)
     blocks = {}
     for beta in zero_mono_masks(n):
-        l = bin(beta).count("1") - 1
-        if dst.dim(beta) == 0:
-            continue
-        elems = mask_to_tuple(beta)
-        for r in range(l + 1):
-            smask = 0
-            for v in elems[: r + 1]:
-                smask |= 1 << v
-            if src.dim(smask) == 0:
-                continue
-            h = G.restrict_vertices(s, elems[r:])
-            mat = block_provider(l - r, h, r)
-            if mat.is_zero():
-                continue
-            c = _as_scalar(mat)
-            blocks[(beta, smask)] = c if c is not None else mat
+        if dst.dim(beta):
+            blocks.update(_lift_row(Vs.base, src, block_provider, beta, s))
     return BlockMap(src, dst, blocks)
 
 
-def lift_morphism(psi: RuthMorphism, Vs: SimpVB | None = None, Vt: SimpVB | None = None,
-                  L: int | None = None) -> BundleMap:
+def lift_morphism(psi: RuthMorphism, Vs: SimpVB, Vt: SimpVB) -> BundleMap:
     """The bundle map induced by a tower morphism between two semi-direct products."""
-    if Vs is None:
-        Vs = build_sdp(psi.source, L)
-    if Vt is None:
-        Vt = build_sdp(psi.target, L if L is not None else Vs.L)
 
     def fn(n, s):
         return _lift_block_map(Vs, Vt, psi.block, n, s)
 
-    return BundleMap(Vs, Vt, fn, name="lift")
+    return BundleMap(Vs, Vt, fn)
 
 
 def twisted_cleavage(V: SdpBundle, psi: GaugeData) -> Cleavage:
-    """Preimage of the canonical cleavage under the gauge lift, as an equation form."""
-    E = V.E
-    G = V.base
+    """Preimage of the canonical cleavage under the gauge lift, as an equation form.
+
+    The equations are the gauge lift's top (full-mask) component.
+    """
 
     def rows(n, s):
         g = V.grading(n, s)
-        top_obj = G.vertex_obj(s, n)
-        lam = E.dim(top_obj, n)
-        out = RatMat.zeros(lam, g.total)
-        if lam == 0:
-            return out
         full = (1 << (n + 1)) - 1
-        elems = mask_to_tuple(full)
-        for r in range(n + 1):
-            smask = (1 << (r + 1)) - 1
-            if g.dim(smask) == 0:
-                continue
-            h = G.restrict_vertices(s, elems[r:])
-            mat = psi.block(n - r, h, r)
-            if mat.is_zero():
-                continue
-            off = g.offset(smask)
-            for a in range(mat.rows):
-                for b in range(mat.cols):
-                    if mat.data[a][b]:
-                        out.data[a][off + b] += mat.data[a][b]
-        return out
+        top = Grading((full,), (g.dim(full),))
+        if not top.total:
+            return RatMat.zeros(0, g.total)
+        return BlockMap(g, top, _lift_row(V.base, g, psi.block, full, s)).to_dense()
 
-    return Cleavage(V, equations_fn=rows, name="twisted")
+    return Cleavage(V, equations_fn=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +337,7 @@ def example_not_full():
         (2, simplex_for((0, 1, 0))): Subspace.from_rows(3, [[1, 0, 0], [0, 1, Fr(-1, 2)]]),
         (2, simplex_for((1, 0, 1))): Subspace.from_rows(3, [[1, 0, -1], [0, 1, 0]]),
     }
-    Cp = explicit_cleavage(V, table, fallback=C, name="modified")
+    Cp = explicit_cleavage(V, table, fallback=C)
     return V, C, Cp
 
 
@@ -393,8 +398,7 @@ def _contains_subsimplex(G: FinGroupoid, s: NerveSimplex, target: NerveSimplex) 
     return False
 
 
-def rh2_sensitivity(R: Ruth, L: int | None = None, rng=None, block=None,
-                    max_tries: int = 8) -> SensitivityReport:
+def rh2_sensitivity(R: Ruth, L: int | None = None, rng=None) -> SensitivityReport:
     """Perturb operator blocks (m >= 2) and watch the two failures move together.
 
     A perturbation that breaks the coherence must also break the double
@@ -402,7 +406,8 @@ def rh2_sensitivity(R: Ruth, L: int | None = None, rng=None, block=None,
     both.  Some towers have genuinely free blocks (one-object commutative
     bases with vanishing differential): each tried perturbation then stays
     coherent and the double face is verified to keep holding, which checks
-    the equivalence from its other side.  Vacuous when no block exists.
+    the equivalence from its other side.  At most eight blocks are tried.
+    Vacuous when no block exists.
     """
     import random
 
@@ -413,26 +418,22 @@ def rh2_sensitivity(R: Ruth, L: int | None = None, rng=None, block=None,
     if L is None:
         L = 2 * E.N + 3
 
-    if block is None:
-        candidates = []
-        for m in range(2, E.N + 2):
-            for s in G.nerve_level(m):
-                if G.is_degenerate(s):
-                    continue
-                for deg in E.degrees():
-                    rows = E.dim(G.vertex_obj(s, m), deg + m - 1)
-                    cols = E.dim(s.x0, deg)
-                    if rows and cols:
-                        candidates.append((m, s, deg, rows, cols))
-        if not candidates:
-            return SensitivityReport(None, False, None, False, None, True, True,
-                                     outcome="vacuous",
-                                     note="no perturbable block of level >= 2")
-        rng.shuffle(candidates)
-        candidates = candidates[:max_tries]
-    else:
-        m, s, deg = block
-        candidates = [(m, s, deg, E.dim(G.vertex_obj(s, m), deg + m - 1), E.dim(s.x0, deg))]
+    candidates = []
+    for m in range(2, E.N + 2):
+        for s in G.nerve_level(m):
+            if G.is_degenerate(s):
+                continue
+            for deg in E.degrees():
+                rows = E.dim(G.vertex_obj(s, m), deg + m - 1)
+                cols = E.dim(s.x0, deg)
+                if rows and cols:
+                    candidates.append((m, s, deg, rows, cols))
+    if not candidates:
+        return SensitivityReport(None, False, None, False, None, True, True,
+                                 outcome="vacuous",
+                                 note="no perturbable block of level >= 2")
+    rng.shuffle(candidates)
+    candidates = candidates[:8]
 
     last = None
     coherent_count = 0
@@ -524,4 +525,4 @@ def translation_svb(R: Ruth, L: int) -> SimpVB:
         dst = grading(n + 1, G.degeneracy(s, j))
         return BlockMap(src, dst, {(1, 1): Fr(1)})
 
-    return SimpVB(G, L, grading, face, deg, kind="translation")
+    return SimpVB(G, L, grading, face, deg)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import Subspace, dense_rows_from_sparse, sparse_kernel_basis, sparse_rank
+from .exactla import Subspace, sparse_kernel_basis, sparse_rank
 from .graded import BlockMap, Grading
 
 
@@ -32,13 +32,13 @@ class IdentityReport:
         return not self.violations
 
 
-def verify_simplicial_identities(fc, levels=None, max_violations: int = 10) -> IdentityReport:
+def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
     """Exhaustively check all face/degeneracy identities up to the truncation."""
     report = IdentityReport()
     levels = range(fc.L + 1) if levels is None else levels
 
     def record(name, n, key, idx):
-        if len(report.violations) < max_violations:
+        if len(report.violations) < 10:
             report.violations.append(Violation(name, n, key, idx))
 
     for n in levels:
@@ -109,7 +109,7 @@ def face_kernel(fc, n: int, key, face_indices) -> Subspace:
         for i in memo[2]:
             rows.extend(fc.face(n, i, key).sparse_rows())
         basis = sparse_kernel_basis([r for r in rows if r], g.total)
-        sub = fc._kernels[memo] = Subspace.from_rows(g.total, dense_rows_from_sparse(basis, g.total))
+        sub = fc._kernels[memo] = Subspace.span(g.total, basis)
     return sub
 
 
@@ -174,8 +174,7 @@ def horn_dim(fc, n: int, k: int, key) -> int:
 
 def horn_space_basis(fc, n: int, k: int, key) -> tuple[HornSystem, Subspace]:
     hs = horn_system(fc, n, k, key)
-    basis = sparse_kernel_basis(hs.rows, hs.total)
-    return hs, Subspace.from_rows(hs.total, dense_rows_from_sparse(basis, hs.total))
+    return hs, Subspace.span(hs.total, sparse_kernel_basis(hs.rows, hs.total))
 
 
 def horn_map_dense(fc, n: int, k: int, key):

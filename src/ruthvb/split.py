@@ -447,14 +447,14 @@ def lower_morphism(phi: BundleMap, R_src: Ruth, R_dst: Ruth,
 # ---------------------------------------------------------------------------
 
 
-def gauge_twist_via_split(R: Ruth, psi: GaugeData, L: int | None = None) -> Ruth:
+def gauge_twist_via_split(R: Ruth, psi: GaugeData) -> Ruth:
     """Twist the canonical cleavage by gauge data and split along it.
 
     The twisted cleavage is normal and bijective by construction; the checks
     on the extracted tower (and on the gauge data as a morphism onto it) are
     asserted and reject invalid data.
     """
-    B = build_sdp(R, L)
+    B = build_sdp(R)
     Cpsi = twisted_cleavage(B, psi)
     ctx = SplitContext(B, Cpsi, validate="none")
     R2 = extract_ruth(ctx)

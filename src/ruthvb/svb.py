@@ -20,7 +20,6 @@ from .exactla import (
     Fr,
     RatMat,
     Subspace,
-    image,
     is_complement,
     kernel,
 )
@@ -37,10 +36,9 @@ class SimpVB:
     is the default of the simplex argument, so X.face(n, i) needs no key.
     """
 
-    def __init__(self, base: FinGroupoid, L: int, grading_fn, face_fn, deg_fn, kind="generic"):
+    def __init__(self, base: FinGroupoid, L: int, grading_fn, face_fn, deg_fn):
         self.base = base
         self.L = L
-        self.kind = kind
         self._grading_fn = grading_fn
         self._face_fn = face_fn
         self._deg_fn = deg_fn
@@ -101,9 +99,8 @@ class SimpVB:
         return self.restrict_map(n, s, range(k + 1))
 
 
-def pullback_svb(X, base: FinGroupoid, L: int | None = None) -> SimpVB:
+def pullback_svb(X, base: FinGroupoid) -> SimpVB:
     """Pull a simplicial vector space back along the map to the point."""
-    L = X.L if L is None else L
 
     def grading(n, s):
         return X.grading(n)
@@ -114,7 +111,7 @@ def pullback_svb(X, base: FinGroupoid, L: int | None = None) -> SimpVB:
     def deg(n, j, s):
         return X.deg(n, j)
 
-    return SimpVB(base, L, grading, face, deg, kind=X.kind + "-pullback")
+    return SimpVB(base, X.L, grading, face, deg)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def relative_horn_kernel(V: SimpVB, n: int, k: int, s: NerveSimplex) -> Subspace
     return face_kernel(V, n, s, [i for i in range(n + 1) if i != k])
 
 
-def check_fibration(V: SimpVB, max_failures: int = 10) -> FibrationReport:
+def check_fibration(V: SimpVB) -> FibrationReport:
     """Surjectivity and kernel ranks of every relative horn map up to truncation.
 
     The order reported is the smallest N with bijective fillers above level N;
@@ -171,7 +168,7 @@ def check_fibration(V: SimpVB, max_failures: int = 10) -> FibrationReport:
                 surjective = (dv - ker.dim) == hd
                 if not surjective:
                     fib = False
-                    if len(failures) < max_failures:
+                    if len(failures) < 10:
                         failures.append((n, k, V.base.simplex_index(s), "not surjective"))
                 level_lams.add(ker.dim)
         lam[n] = max(level_lams) if level_lams else 0
@@ -192,11 +189,10 @@ def check_fibration(V: SimpVB, max_failures: int = 10) -> FibrationReport:
 class Cleavage:
     """Per-fiber subbundle with cached basis and equation forms, levels 1..L."""
 
-    def __init__(self, V: SimpVB, basis_fn=None, equations_fn=None, name="cleavage"):
+    def __init__(self, V: SimpVB, basis_fn=None, equations_fn=None):
         if basis_fn is None and equations_fn is None:
             raise ValueError("need a basis or an equation description")
         self.V = V
-        self.name = name
         self._basis_fn = basis_fn
         self._equations_fn = equations_fn
         self._subs: dict = {}
@@ -243,10 +239,10 @@ def canonical_cleavage(V: SimpVB) -> Cleavage:
             out.data[r][off + r] = Fr(1)
         return out
 
-    return Cleavage(V, equations_fn=equations, name="canonical")
+    return Cleavage(V, equations_fn=equations)
 
 
-def explicit_cleavage(V: SimpVB, table: dict, fallback: Cleavage | None = None, name="explicit") -> Cleavage:
+def explicit_cleavage(V: SimpVB, table: dict, fallback: Cleavage | None = None) -> Cleavage:
     def basis(n, s):
         sub = table.get((n, s))
         if sub is not None:
@@ -255,7 +251,7 @@ def explicit_cleavage(V: SimpVB, table: dict, fallback: Cleavage | None = None, 
             return fallback.subspace(n, s)
         raise KeyError(f"no cleavage fiber for level {n}, simplex {s}")
 
-    return Cleavage(V, basis_fn=basis, name=name)
+    return Cleavage(V, basis_fn=basis)
 
 
 @dataclass
@@ -317,8 +313,7 @@ def _witness_space(
     return kernel(RatMat.from_rows(rows, g.total))
 
 
-def check_cleavage(V: SimpVB, C: Cleavage, check_interior: bool = True,
-                   max_failures: int = 10) -> CleavageReport:
+def check_cleavage(V: SimpVB, C: Cleavage, check_interior: bool = True) -> CleavageReport:
     """Bijectivity onto horns, normality, and the flatness ladder, all exact."""
     failures: list = []
     bijective = True
@@ -329,7 +324,7 @@ def check_cleavage(V: SimpVB, C: Cleavage, check_interior: bool = True,
 
     def fail(tag, *info):
         nonlocal failures
-        if len(failures) < max_failures:
+        if len(failures) < 10:
             failures.append((tag,) + info)
 
     for n in range(1, V.L + 1):
@@ -401,12 +396,11 @@ def check_cleavage(V: SimpVB, C: Cleavage, check_interior: bool = True,
 class BundleMap:
     """A per-fiber linear map V -> W over the identity of the shared base."""
 
-    def __init__(self, V: SimpVB, W: SimpVB, map_fn, name="phi"):
+    def __init__(self, V: SimpVB, W: SimpVB, map_fn):
         if V.base is not W.base:
             raise ValidationError("bundle maps require a shared base groupoid")
         self.V = V
         self.W = W
-        self.name = name
         self._fn = map_fn
         self._cache: dict = {}
 
@@ -418,12 +412,11 @@ class BundleMap:
         return m
 
 
-def check_simplicial_map(phi: BundleMap, levels=None, max_failures: int = 10):
+def check_simplicial_map(phi: BundleMap):
     """Exact intertwining of faces and degeneracies; returns violation list."""
     V, W = phi.V, phi.W
     failures = []
-    levels = range(min(V.L, W.L) + 1) if levels is None else levels
-    for n in levels:
+    for n in range(min(V.L, W.L) + 1):
         for s in V.base.nerve_level(n):
             if n >= 1:
                 for i in range(n + 1):
@@ -431,7 +424,7 @@ def check_simplicial_map(phi: BundleMap, levels=None, max_failures: int = 10):
                     lhs = phi.at(n - 1, t).compose(V.face(n, i, s))
                     rhs = W.face(n, i, s).compose(phi.at(n, s))
                     if lhs != rhs:
-                        if len(failures) < max_failures:
+                        if len(failures) < 10:
                             failures.append(("face", n, i, V.base.simplex_index(s)))
             if n + 1 <= min(V.L, W.L):
                 for j in range(n + 1):
@@ -439,13 +432,12 @@ def check_simplicial_map(phi: BundleMap, levels=None, max_failures: int = 10):
                     lhs = phi.at(n + 1, t).compose(V.deg(n, j, s))
                     rhs = W.deg(n, j, s).compose(phi.at(n, s))
                     if lhs != rhs:
-                        if len(failures) < max_failures:
+                        if len(failures) < 10:
                             failures.append(("degeneracy", n, j, V.base.simplex_index(s)))
     return failures
 
 
-def check_weakly_flat_morphism(phi: BundleMap, C: Cleavage, Cp: Cleavage,
-                               max_failures: int = 10):
+def check_weakly_flat_morphism(phi: BundleMap, C: Cleavage, Cp: Cleavage):
     """Images of zero-sourced cartesian vectors must stay cartesian.
 
     The witness space asks only that the first vertex vanish and that every
@@ -464,7 +456,7 @@ def check_weakly_flat_morphism(phi: BundleMap, C: Cleavage, Cp: Cleavage,
             for row in W.mat.data:
                 img = mat.apply(row)
                 if eq.rows and any(eq.apply(img)):
-                    if len(failures) < max_failures:
+                    if len(failures) < 10:
                         failures.append((n, V.base.simplex_index(s), tuple(row), img))
                     break
     return failures

@@ -249,6 +249,38 @@ def _negative_block_dim(svb, cleavage, ruth):
     return ["validate", "svb", "svb.json"]
 
 
+def _string_degree(svb, cleavage, ruth):
+    ruth["operators"][0]["degree"] = "0"
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _negative_degree(svb, cleavage, ruth):
+    ruth["operators"][0]["degree"] = -1  # an empty block there was dropped silently
+    ruth["operators"][0]["matrix"] = []
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _bool_simplex(svb, cleavage, ruth):
+    ruth["operators"][0]["simplex"] = True  # would index as simplex 1
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _float_degree(svb, cleavage, ruth):
+    ruth["operators"][0]["degree"] = float(ruth["operators"][0]["degree"])
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _cleavage_wrong_L(svb, cleavage, ruth):
+    cleavage["L"] = 99
+    cleavage["fibers"]["4"] = cleavage["fibers"]["3"]
+    return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
+
+
+def _cleavage_without_L(svb, cleavage, ruth):
+    del cleavage["L"]
+    return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
+
+
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
                                      _extra_cleavage_fiber, _negative_simplex,
                                      _unit_out_of_range, _negative_unit, _inverse_out_of_range,
@@ -259,7 +291,9 @@ def _negative_block_dim(svb, cleavage, ruth):
                                      _mcap_negative, _mcap_flag_negative,
                                      _mcap_flag_negative_build, _ragged_operator, _ragged_face,
                                      _ragged_cleavage, _negative_tower_dim, _negative_L,
-                                     _negative_block_dim])
+                                     _negative_block_dim, _string_degree, _negative_degree,
+                                     _bool_simplex, _float_degree, _cleavage_wrong_L,
+                                     _cleavage_without_L])
 def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     """README promises exit code 2 on a malformed document, not a traceback."""
     R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))

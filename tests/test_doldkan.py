@@ -277,7 +277,7 @@ def _perturbed_dk(Y):
         dl, sl = next(iter(f.blocks))
         return f + BlockMap.transport(f.src, f.dst, [(dl, sl, Fr(1, 2))])
 
-    return SimpVB(POINT, X.L, X.grading, face, X.deg, kind="dk-perturbed")
+    return SimpVB(POINT, X.L, X.grading, face, X.deg)
 
 
 def _identity_report_digests():

@@ -8,7 +8,6 @@ from ruthvb.errors import DimensionMismatch, NoSolutionError, NonUniqueSolutionE
 from ruthvb.exactla import (
     RatMat,
     Subspace,
-    dense_rows_from_sparse,
     image,
     intersect,
     is_complement,
@@ -151,8 +150,8 @@ def test_sparse_agrees_with_dense():
         assert sparse_rank(rows, c) == A.rank()
         basis = sparse_kernel_basis(rows, c)
         assert rows == snapshot  # cached rows are handed in; the eliminator must copy
-        K = Subspace.from_rows(c, dense_rows_from_sparse(basis, c))
-        assert K == kernel(A)
+        K = Subspace.from_rows(c, [[Fr(v.get(j, 0)) for j in range(c)] for v in basis])
+        assert K == kernel(A) == Subspace.span(c, basis)
 
 
 def test_solve_matrix():

@@ -1,12 +1,14 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_gauge, random_strict_ruth
-from ruthvb.doldkan import ChainComplex, dk, sign_flip
+from conftest import random_chain_complex, random_gauge, random_strict_ruth
+from ruthvb.documents import canonical_dumps
+from ruthvb.doldkan import ChainComplex, dk, dk_classic, sign_flip
 from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat
 from ruthvb.graded import BlockMap
@@ -263,3 +265,103 @@ def test_order_two_fixture():
     ver = verify_sdp(B)
     assert ver.ok and ver.order == 2
     assert d0_paths_agree(B, levels=range(1, 5))
+
+
+def _entry_record(e):
+    """A stored block with its storage form: int or Fraction scalar, or dense."""
+    if type(e) is RatMat:
+        return ["dense", [[str(x) for x in row] for row in e.data]]
+    return [type(e).__name__, str(e)]
+
+
+def _structure_digest(X, L, simplices):
+    """sha256 over every face and degeneracy block of X up to level L."""
+    out = []
+    for n in range(L + 1):
+        for idx, s in enumerate(simplices(n)):
+            maps = [("face", i, X.face(n, i, s)) for i in range(n + 1) if n >= 1]
+            maps += [("deg", j, X.deg(n, j, s)) for j in range(n + 1) if n < L]
+            for tag, i, f in maps:
+                blocks = sorted((repr(k), _entry_record(e)) for k, e in f.blocks.items())
+                out.append([tag, n, i, idx, blocks])
+    return hashlib.sha256(canonical_dumps(out).encode()).hexdigest()
+
+
+def _pinned_tower(base, dims, seed):
+    rng = random.Random(seed)
+    R0 = random_strict_ruth(base, rng, dims)
+    R = twisted_ruth_direct(R0, random_gauge(R0.E, rng))
+    return R, random_gauge(R.E, rng)
+
+
+# sha256 of every face and degeneracy block (key, storage form and value):
+# dk then dk_classic on random_chain_complex(Random(seed)) for seeds 0..9 and
+# on one fixed complex, at L = 5; then build_sdp and the twisted cleavage's
+# equations per tower
+PINNED_DK_STRUCTURE = [
+    "fa27c4e3559b3c71dbc7b40194e11df8f56a2b030ca8610269b0f56d03e4e1f6",
+    "fca002fd0e9877ef9b0a6ed199cf7ede95538b30d9d91902df98da2ae89ba5c9",
+    "7658d2a9016b620322c198dd0ed9cb0accc9cdb48377e87b3859b0266eaadf52",
+    "b82d11fc9245d91f379e8e65afddfdd31c7ac16986fd6454a0ccb752d6bf7159",
+    "79197048fe1c23e3da3cb37bc9eb1f3ee653dbca1e5d458b0d570f5d3cc6fa6e",
+    "1ac7c7cb14d2f3cf6d94bd14ea6de8239c28f638a3d99a2000ba9bdab6bfe849",
+    "c1db029410320092c61cbd3fbb337cd33428e1af11a8696b299d6b4403edf7cf",
+    "6fc02887f225e3c00617761240e17198d0ee116ee336df56ae3b8c1cc9ecc211",
+    "79197048fe1c23e3da3cb37bc9eb1f3ee653dbca1e5d458b0d570f5d3cc6fa6e",
+    "1ac7c7cb14d2f3cf6d94bd14ea6de8239c28f638a3d99a2000ba9bdab6bfe849",
+    "2ad10cf3c06ad2c9781cfca5f1639bf52253e16d9a76480802a0f6943d406308",
+    "d50d3f59b11f883e4f0b21211f46b48c22c62bb47fa6b56cb83a2082f994a580",
+    "742910a5cd137d7272627dd4877655374604ca6c5905c8e68c132f5f2bf024b9",
+    "bb9b6fb5be12057f9aa52d4a1d3eca1c52a5c408cf18827e0aad6349b34d2df1",
+    "c96ffaa66ccbdc162b106c2a7fdce000bde09bac02f9fd2bd739bff53cf05564",
+    "6b22f9888e23137c3cc7760fe92916b541a8d6ea79ea5eeea0e133c9945463a6",
+    "c96ffaa66ccbdc162b106c2a7fdce000bde09bac02f9fd2bd739bff53cf05564",
+    "6b22f9888e23137c3cc7760fe92916b541a8d6ea79ea5eeea0e133c9945463a6",
+    "09d6291ffa5d8ce6ad2668e426c125a608c2d7d7d451e7e3c130b864d3e863e9",
+    "662db45d1ca64e36009abee8bf0749ecb4319dbceb6cdb5653a23c87bfd368c4",
+    "3be6b55773114f91734f3d7d136a87b474df76e53955de19db355990c2aa21ba",
+    "7d50513de28504ab7ae8c33efc631957b947fa67e6f803e1fc8b5748f250c107",
+]
+PINNED_SDP_STRUCTURE = {
+    "Z/2": [
+        "01e8ab022a4d8509a047ff299ba8a1c0136d387868fea5337e0e330a3f17df6e",
+        "7d4bd0f67f00dd59ef350506cb7fd032791eb3e5f90420da7ad07970c497f8ff",
+    ],
+    "pair(2)": [
+        "4fb57bc24ec94778a30feb59f1bf9b2c94e4410fadb392af61b84a9c97b46964",
+        "3d008f7d2e99ff63a5898d4cfd16ef03be94f7c3e7120fe852db2b28dc3eede0",
+    ],
+    "unit(2)": [
+        "aa9dd6cf02bb2ebdee0ff21e47e3f7b0439963255f5a17c5e0bc41c950cd6b78",
+        "e881ef6839067586bc4c05945614baeae7b181b106e37bd9825d87250624d9d2",
+    ],
+}
+
+
+def test_dk_structure_maps_pinned():
+    # the last complex has a 1 x 1 boundary, which is stored dense, not as a scalar
+    complexes = [random_chain_complex(random.Random(seed)) for seed in range(10)]
+    complexes.append(ChainComplex((1, 1), {1: RatMat.from_rows([[-2]])}))
+    digests = [_structure_digest(build(Y, 5), 5, lambda n: (None,))
+               for Y in complexes for build in (dk, dk_classic)]
+    assert digests == PINNED_DK_STRUCTURE
+
+
+@pytest.mark.parametrize("name, make_base, dims, seed", [
+    ("Z/2", lambda: cyclic_group(2), (1, 1), 91),
+    ("pair(2)", lambda: pair_groupoid(2), (1, 1), 92),
+    ("unit(2)", lambda: unit_groupoid(2), (1, 1, 1), 93),
+])
+def test_sdp_structure_maps_pinned(name, make_base, dims, seed):
+    """Faces, degeneracies and twisted-cleavage equations keep their stored form."""
+    R, psi = _pinned_tower(make_base(), dims, seed)
+    L = 2 * R.E.N + 3
+    B = build_sdp(R, L)
+    C = twisted_cleavage(B, psi)
+    eqs = [[n, idx, _entry_record(C.equations(n, s))]
+           for n in range(1, L + 1) for idx, s in enumerate(R.G.nerve_level(n))]
+    digests = [
+        _structure_digest(B, L, R.G.nerve_level),
+        hashlib.sha256(canonical_dumps(eqs).encode()).hexdigest(),
+    ]
+    assert digests == PINNED_SDP_STRUCTURE[name]

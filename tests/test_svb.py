@@ -255,7 +255,7 @@ def _perturbed_cleavage(B, C, rng, top):
         r = rng.randrange(len(rows))
         rows[r] = [a + Fr(rng.choice([-2, -1, 1, 2]), 2) * b for a, b in zip(rows[r], v)]
         table[(n, s)] = Subspace.from_rows(d, rows)
-    return explicit_cleavage(B, table, fallback=C, name="perturbed")
+    return explicit_cleavage(B, table, fallback=C)
 
 
 def _pinned_cleavages(base, dims, seed):
