@@ -72,6 +72,14 @@ def _count(x, what: str) -> int:
     return x
 
 
+def _levels(table: dict, levels, name: str) -> dict:
+    """table itself when its keys are exactly the given levels, as strings."""
+    expected = [str(n) for n in levels]
+    if set(table) != set(expected):
+        raise ValueError(f"{name} has level keys {sorted(table)}, not {expected}")
+    return table
+
+
 def _per_simplex(G: FinGroupoid, n: int, entries):
     """Pair each level-n simplex, in canonical order, with its document entry."""
     level = G.nerve_level(n)
@@ -249,6 +257,7 @@ def _structure_mats(G: FinGroupoid, table: dict, levels, step: int, gradings: di
     0 x c matrix.
     """
     move = G.face if step < 0 else G.degeneracy
+    _levels(table, levels, name)
     mats = {}
     for n in levels:
         for s, entries in _per_simplex(G, n, table[str(n)]):
@@ -273,8 +282,9 @@ def svb_from_doc(doc: dict) -> SimpVB:
         G = groupoid_from_doc(doc["groupoid"])
         L = _count(doc["L"], "L")
         gradings = {}
+        fibers = _levels(doc["fibers"], range(L + 1), "fibers")
         for n in range(L + 1):
-            for s, blocks in _per_simplex(G, n, doc["fibers"][str(n)]):
+            for s, blocks in _per_simplex(G, n, fibers[str(n)]):
                 gradings[(n, s)] = Grading(tuple(b[0] for b in blocks),
                                            tuple(_count(b[1], "block dimension") for b in blocks))
         face_mats = _structure_mats(G, doc.get("faces", {}), range(1, L + 1), -1, gradings, "face")
@@ -308,8 +318,9 @@ def cleavage_from_doc(V: SimpVB, doc: dict) -> Cleavage:
     with _reading("cleavage"):
         if _count(doc["L"], "L") != V.L:
             raise ValueError(f"cleavage L={doc['L']} but the bundle has L={V.L}")
+        fibers = _levels(doc["fibers"], range(1, V.L + 1), "fibers")
         for n in range(1, V.L + 1):
-            for s, rows in _per_simplex(V.base, n, doc["fibers"][str(n)]):
+            for s, rows in _per_simplex(V.base, n, fibers[str(n)]):
                 mat = mat_from_json(rows, f"cleavage n={n}")
                 if mat.rows and mat.cols != V.fiber_dim(n, s):
                     raise ValueError(f"cleavage n={n} has rows of length {mat.cols}")

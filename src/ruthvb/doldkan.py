@@ -8,7 +8,7 @@ classical one.  The classical inverse dk_classic indexes level n by the
 surjections [n] ->> [k] and is written independently, as a comparison.
 Both are block-structured simplicial vector spaces (SimpVBs over POINT) so
 that identity checks compose index transports rather than dense matrices;
-the flat-cleavage check reuses the bundle witness space.
+the flat-cleavage check reuses the bundle's cleavage rank closure.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ValidationError
-from .exactla import Fr, ONE, RatMat, Subspace, image, solve_matrix
+from .exactla import Fr, ONE, RatMat, Subspace, solve_matrix
 from .graded import BlockMap, Grading
 from .groupoid import POINT
 from .ordmaps import zero_mono_masks
 from .sdp import MaskBundle
 from .simplicial import horn_dim, horn_map_dense
-from .svb import Cleavage, SimpVB, _witness_space, relative_horn_kernel
+from .svb import Cleavage, SimpVB, _face_closures, relative_horn_kernel
 
 
 class ChainComplex:
@@ -372,10 +372,8 @@ def check_unique_flat_cleavage(X: SimpVB) -> FlatCleavageReport:
     C = Cleavage(X, basis_fn=lambda n, s: spans[n])
     for n in range(2, X.L + 1):
         # {w in D_n : every prefix and every face d_i, i > 0, of w lies in D}
-        W = _witness_space(X, C, n, None, zero_section=False, include_faces=True)
-        img = image(X.face(n, 0).to_dense(), W)
-        ok = all(spans[n - 1].contains(row) for row in img.mat.data)
-        flatness.append(LevelCheck(n, 0, ok, f"witness dim {W.dim}"))
+        witness_dim, ok = _face_closures(X, C, n, None, (0,), (False,))[False, 0]
+        flatness.append(LevelCheck(n, 0, ok, f"witness dim {witness_dim}"))
     order_equiv = []
     for n in range(1, X.L + 1):
         unique = not any(relative_horn_kernel(X, n, k, None).dim for k in range(n + 1))

@@ -163,15 +163,10 @@ class FinGroupoid:
             raise DimensionMismatch(
                 f"cannot restrict a level-{s.level} simplex along a map into [{theta.cod}]"
             )
-        imgs = theta.images
-        x0 = self.vertex_obj(s, imgs[0])
-        arrows = tuple(
-            self.compose_range(s, imgs[i - 1], imgs[i]) for i in range(1, len(imgs))
-        )
-        return NerveSimplex(x0, arrows)
+        return self.restrict_vertices(s, theta.images)
 
     def restrict_vertices(self, s: NerveSimplex, verts: tuple[int, ...]) -> NerveSimplex:
-        """Restrict along the injective map with the given vertex images."""
+        """Restrict along the monotone map with the given vertex images."""
         x0 = self.vertex_obj(s, verts[0])
         arrows = tuple(
             self.compose_range(s, verts[i - 1], verts[i]) for i in range(1, len(verts))

@@ -3,17 +3,16 @@
 Fibers are block-graded; faces and degeneracies are BlockMaps between fibers
 over the corresponding nerve restrictions.  SimpVB is the one memoized fiber
 complex: a simplicial vector space is a SimpVB over POINT.  Every flatness
-condition here is decided as a subspace containment: the conditions quantify
-over infinitely many vectors but are linear, so exact linear algebra settles
-them.  That one observation is what makes the whole checker suite terminate.
-Bundles are immutable after construction; checks parallelize over fibers in
-principle and only share write-once caches.
+condition here is decided as a rank comparison on one constraint system per
+fiber: the conditions quantify over infinitely many vectors but are linear,
+so exact linear algebra settles them.  That one observation is what makes the
+whole checker suite terminate.  Bundles are immutable after construction;
+checks parallelize over fibers in principle and only share write-once caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ValidationError
 from .exactla import (
@@ -22,6 +21,8 @@ from .exactla import (
     Subspace,
     is_complement,
     kernel,
+    sparse_kernel_basis,
+    sparse_rank,
 )
 from .graded import BlockMap, Grading
 from .groupoid import FinGroupoid, NerveSimplex
@@ -270,47 +271,52 @@ class CleavageReport:
         return self.bijective and self.normal and self.weakly_flat
 
 
-def _vertex_zero_rows(V: SimpVB, n: int, s: NerveSimplex) -> RatMat:
-    mat, _ = V.restrict_map(n, s, (0,))
-    return mat.to_dense()
+def _pullback_rows(eq: RatMat, m: BlockMap) -> list[dict]:
+    """The rows of eq @ m as sparse dicts."""
+    return (eq @ m.to_dense())._sparse_rows() if eq.rows else []
 
 
-def _witness_space(
-    V: SimpVB,
-    C: Cleavage,
-    n: int,
-    s: NerveSimplex,
-    zero_section: bool,
-    include_faces: bool,
-    skip_face: int = 0,
-) -> Subspace:
-    """Vectors of C_n whose prefixes (and, optionally, faces) stay in C.
-
-    zero_section adds the vanishing-first-vertex constraint; include_faces
-    constrains every face but skip_face, the zeroth by default and an
-    interior one for the interior-closure variant.
-    """
-    g = V.grading(n, s)
-    rows: list[list[Fraction]] = []
-    eq = C.equations(n, s)
-    rows.extend(eq.data)
-    if zero_section:
-        rows.extend(_vertex_zero_rows(V, n, s).data)
+def _prefix_rows(V: SimpVB, C: Cleavage, n: int, s: NerveSimplex) -> list[dict]:
+    """C_n's equations and every proper prefix's equations pulled back."""
+    rows = C.equations(n, s)._sparse_rows()
     for k in range(1, n):
         mat, base_s = V.prefix_map(n, s, k)
-        sub_eq = C.equations(k, base_s)
-        if sub_eq.rows:
-            rows.extend((sub_eq @ mat.to_dense()).data)
-    if include_faces:
-        for i in range(n + 1):
-            if i == skip_face:
-                continue
-            sub_eq = C.equations(n - 1, V.base.face(s, i))
-            if sub_eq.rows:
-                rows.extend((sub_eq @ V.face(n, i, s).to_dense()).data)
-    if not rows:
-        return Subspace.full(g.total)
-    return kernel(RatMat.from_rows(rows, g.total))
+        rows += _pullback_rows(C.equations(k, base_s), mat)
+    return rows
+
+
+def _face_rows(V: SimpVB, C: Cleavage, n: int, s: NerveSimplex) -> list[list[dict]]:
+    """F_j = C_{n-1}(d_j s) d_j for every face j: d_j w lies in C iff F_j w = 0."""
+    return [_pullback_rows(C.equations(n - 1, V.base.face(s, j)), V.face(n, j, s))
+            for j in range(n + 1)]
+
+
+def _witness_space(V: SimpVB, C: Cleavage, n: int, s: NerveSimplex) -> Subspace:
+    """Vectors of C_n with a vanishing first vertex whose prefixes all lie in C."""
+    dim = V.fiber_dim(n, s)
+    rows = _prefix_rows(V, C, n, s) + V.restrict_map(n, s, (0,))[0].sparse_rows()
+    return Subspace.span(dim, sparse_kernel_basis(rows, dim))
+
+
+def _face_closures(V: SimpVB, C: Cleavage, n: int, s: NerveSimplex, faces, zero_sections) -> dict:
+    """(witness dim, closed) for each zero-section variant and each face i in faces.
+
+    The witness space of face i is cut out by the prefix rows, the first-vertex
+    rows in the zero-section variant, and every F_j with j != i; d_i maps it
+    into C exactly when F_i vanishes on it, that is when F_i adds no rank.
+    """
+    dim = V.fiber_dim(n, s)
+    A = _prefix_rows(V, C, n, s)
+    F = _face_rows(V, C, n, s)
+    out = {}
+    for zero_section in zero_sections:
+        base = A + V.restrict_map(n, s, (0,))[0].sparse_rows() if zero_section else A
+        full = sparse_rank(base + [r for rows in F for r in rows], dim)
+        for i in faces:
+            others = [r for j, rows in enumerate(F) if j != i for r in rows]
+            rank = sparse_rank(base + others, dim) if F[i] else full
+            out[zero_section, i] = (dim - rank, rank == full)
+    return out
 
 
 def check_cleavage(V: SimpVB, C: Cleavage, check_interior: bool = True) -> CleavageReport:
@@ -346,43 +352,30 @@ def check_cleavage(V: SimpVB, C: Cleavage, check_interior: bool = True) -> Cleav
         wf_ok = True
         fl_ok = True
         for s in V.base.nerve_level(n):
-            d0 = V.face(n, 0, s).to_dense()
-            t0 = V.base.face(s, 0)
-            W = _witness_space(V, C, n, s, zero_section=True, include_faces=True)
-            if W.dim:
-                img = d0 @ W.mat.transpose()
-                if not C.contains_map_image(n - 1, t0, img):
-                    wf_ok = False
-                    fail("weak flatness", n, V.base.simplex_index(s))
-            Wf = _witness_space(V, C, n, s, zero_section=False, include_faces=True)
-            if Wf.dim:
-                img = d0 @ Wf.mat.transpose()
-                if not C.contains_map_image(n - 1, t0, img):
-                    fl_ok = False
-                    fail("flatness", n, V.base.simplex_index(s))
+            closed = _face_closures(V, C, n, s, (0,), (True, False))
+            if not closed[True, 0][1]:
+                wf_ok = False
+                fail("weak flatness", n, V.base.simplex_index(s))
+            if not closed[False, 0][1]:
+                fl_ok = False
+                fail("flatness", n, V.base.simplex_index(s))
         wf_by_level[n] = wf_ok
         fl_by_level[n] = fl_ok
 
     weakly_flat = all(wf_by_level.values()) if wf_by_level else True
     flat = all(fl_by_level.values()) if fl_by_level else True
 
-    if check_interior:
+    # each variant demands the zeroth face be cartesian too
+    active = [zs for zs, ok in ((True, weakly_flat), (False, flat)) if ok]
+    if check_interior and active:
         for n in range(3, V.L + 1):
             for s in V.base.nerve_level(n):
+                closed = _face_closures(V, C, n, s, range(1, n), active)
                 for i0 in range(1, n):
-                    for zero_section, active in ((True, weakly_flat), (False, flat)):
-                        if not active:
-                            continue
-                        # this variant demands the zeroth face be cartesian too
-                        W = _witness_space(
-                            V, C, n, s, zero_section=zero_section,
-                            include_faces=True, skip_face=i0,
-                        )
-                        if W.dim:
-                            img = V.face(n, i0, s).to_dense() @ W.mat.transpose()
-                            if not C.contains_map_image(n - 1, V.base.face(s, i0), img):
-                                interior_ok = False
-                                fail("interior closure", n, i0, V.base.simplex_index(s))
+                    for zero_section in active:
+                        if not closed[zero_section, i0][1]:
+                            interior_ok = False
+                            fail("interior closure", n, i0, V.base.simplex_index(s))
     return CleavageReport(
         bijective, normal, weakly_flat, flat, wf_by_level, fl_by_level, interior_ok, failures
     )
@@ -448,7 +441,7 @@ def check_weakly_flat_morphism(phi: BundleMap, C: Cleavage, Cp: Cleavage):
     failures = []
     for n in range(1, V.L + 1):
         for s in V.base.nerve_level(n):
-            W = _witness_space(V, C, n, s, zero_section=True, include_faces=False)
+            W = _witness_space(V, C, n, s)
             if not W.dim:
                 continue
             mat = phi.at(n, s).to_dense()
@@ -564,8 +557,8 @@ def coboundary_matrix(V: SimpVB, p: int) -> RatMat:
 
 def linear_cochain_cohomology(V: SimpVB, up_to_degree: int) -> list[int]:
     """Exact Betti numbers of the fiberwise-linear cochain complex."""
-    if up_to_degree > V.L - 1:
-        raise ValidationError("degree beyond the certified truncation")
+    if not 0 <= up_to_degree <= V.L - 1:
+        raise ValidationError(f"degree {up_to_degree} outside the certified range 0..{V.L - 1}")
     deltas = [coboundary_matrix(V, p) for p in range(up_to_degree + 1)]
     dims = []
     prev_rank = 0

@@ -8,8 +8,6 @@ import random
 import time
 from fractions import Fraction as Fr
 
-import pytest
-
 from conftest import random_chain_complex, random_gauge
 from ruthvb.doldkan import (
     dk,
@@ -19,11 +17,8 @@ from ruthvb.doldkan import (
 )
 from ruthvb.exactla import RatMat
 from ruthvb.graded import BlockMap
-from ruthvb.groupoid import NerveSimplex
 from ruthvb.ruth import (
     check_morphism,
-    check_rh1,
-    check_rh2,
     compose_morphisms,
     cycles_borders,
     twisted_ruth_direct,
@@ -44,7 +39,6 @@ from ruthvb.svb import (
     check_cleavage,
     check_weakly_flat_morphism,
     coboundary_matches_rep,
-    core,
     linear_cochain_cohomology,
     rank_identities,
 )

@@ -12,7 +12,6 @@ from ruthvb import documents as docs
 from ruthvb.cli import main
 from ruthvb.doldkan import ChainComplex
 from ruthvb.errors import ValidationError
-from ruthvb.exactla import RatMat
 from ruthvb.groupoid import pair_groupoid, unit_groupoid
 from ruthvb.ruth import chain_complex_ruth, check_rh2, gauge_twist, twisted_ruth_direct
 from ruthvb.sdp import build_sdp
@@ -281,6 +280,17 @@ def _cleavage_without_L(svb, cleavage, ruth):
     return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
 
 
+def _cleavage_stray_level(svb, cleavage, ruth):
+    cleavage["fibers"]["4"] = "junk"  # above L = 3
+    return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
+
+
+def _svb_stray_level(svb, cleavage, ruth):
+    svb["fibers"]["9"] = "junk"
+    svb["faces"]["9"] = "junk"
+    return ["validate", "svb", "svb.json"]
+
+
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
                                      _extra_cleavage_fiber, _negative_simplex,
                                      _unit_out_of_range, _negative_unit, _inverse_out_of_range,
@@ -293,7 +303,8 @@ def _cleavage_without_L(svb, cleavage, ruth):
                                      _ragged_cleavage, _negative_tower_dim, _negative_L,
                                      _negative_block_dim, _string_degree, _negative_degree,
                                      _bool_simplex, _float_degree, _cleavage_wrong_L,
-                                     _cleavage_without_L])
+                                     _cleavage_without_L, _cleavage_stray_level,
+                                     _svb_stray_level])
 def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     """README promises exit code 2 on a malformed document, not a traceback."""
     R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))
@@ -418,6 +429,15 @@ def test_cli_cohomology(doc_dir, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "coh.json").read_text())
     assert "betti" in rep
+
+
+def test_cli_cohomology_negative_degree(doc_dir, tmp_path):
+    path, R = doc_dir
+    out = tmp_path / "out"
+    out.mkdir()
+    main(["--quiet", "build-sdp", str(path / "ruth.json"), "--out", str(out)])
+    code = main(["--quiet", "cohomology", str(out / "svb.json"), "--max-degree", "-1"])
+    assert code == 2
 
 
 def test_console_entry_point():

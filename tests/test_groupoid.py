@@ -9,7 +9,6 @@ from ruthvb.groupoid import (
     builtin_groupoids,
     cyclic_group,
     pair_groupoid,
-    product_groupoid,
     unit_groupoid,
 )
 from ruthvb.ordmaps import OrdMap, compose, delta, upsilon, vertex

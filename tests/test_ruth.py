@@ -7,10 +7,9 @@ from conftest import random_gauge, random_strict_ruth
 from ruthvb.doldkan import ChainComplex
 from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat
-from ruthvb.groupoid import NerveSimplex, cyclic_group, pair_groupoid, unit_groupoid
+from ruthvb.groupoid import NerveSimplex, pair_groupoid, unit_groupoid
 from ruthvb.ruth import (
     GaugeData,
-    Ruth,
     chain_complex_ruth,
     check_morphism,
     check_rh1,
@@ -21,7 +20,6 @@ from ruthvb.ruth import (
     grothendieck,
     identity_morphism,
     representation_ruth,
-    strict_ruth,
     twisted_ruth_direct,
     uniform_bundle,
 )
@@ -211,7 +209,6 @@ def test_grothendieck_assoc_is_level_three_coherence():
     rng = random.Random(33)
     R = twisted_ruth_direct(random_strict_ruth(G, rng, (1, 1)), random_gauge(uniform_bundle(G, (1, 1)), rng))
     gr = grothendieck(R)
-    from ruthvb.ordmaps import OrdMap
 
     for s in G.nerve_level(3):
         pair_hi = G.restrict_vertices(s, (1, 2, 3))
@@ -222,7 +219,6 @@ def test_grothendieck_assoc_is_level_three_coherence():
         c3, c2, c1 = (R.E.dim(x, 1) for x in (x3, x2, x1))
         e0 = R.E.dim(x0, 0)
         # ((a3 . a2) . a1) and (a3 . (a2 . a1)) as maps on (c3, c2, c1, e)
-        import itertools
 
         def embed(mat, keep_cols, total):
             out = RatMat.zeros(mat.rows, total)

@@ -12,21 +12,18 @@ from ruthvb.doldkan import ChainComplex, dk, dk_classic, sign_flip
 from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat
 from ruthvb.graded import BlockMap
-from ruthvb.groupoid import NerveSimplex, cyclic_group, pair_groupoid, unit_groupoid
+from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
 from ruthvb.ruth import (
     chain_complex_ruth,
-    check_morphism,
     compose_morphisms,
     gauge_twist,
     grothendieck,
     representation_ruth,
     twisted_ruth_direct,
-    uniform_bundle,
 )
 from ruthvb.sdp import (
     build_sdp,
     d0_paths_agree,
-    example_not_full,
     lift_morphism,
     rh2_sensitivity,
     translation_svb,
@@ -34,8 +31,7 @@ from ruthvb.sdp import (
     unit_face_clause,
     verify_sdp,
 )
-from ruthvb.simplicial import verify_simplicial_identities
-from ruthvb.svb import BundleMap, check_simplicial_map, check_weakly_flat_morphism, core
+from ruthvb.svb import check_simplicial_map, check_weakly_flat_morphism
 
 
 def twisted(seed, base=None, dims=(1, 1)):

@@ -7,14 +7,8 @@ from conftest import random_gauge, random_strict_ruth
 from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat
 from ruthvb.graded import BlockMap
-from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
-from ruthvb.ruth import (
-    chain_complex_ruth,
-    check_morphism,
-    gauge_twist,
-    identity_morphism,
-    twisted_ruth_direct,
-)
+from ruthvb.groupoid import cyclic_group, pair_groupoid
+from ruthvb.ruth import check_morphism, gauge_twist, twisted_ruth_direct
 from ruthvb.sdp import build_sdp, example_not_full, lift_morphism, twisted_cleavage
 from ruthvb.split import (
     SplitContext,
@@ -23,7 +17,7 @@ from ruthvb.split import (
     lower_morphism,
     roundtrip_bundle,
 )
-from ruthvb.svb import canonical_cleavage, relative_horn_kernel
+from ruthvb.svb import relative_horn_kernel
 
 
 def twisted(seed, base=None, dims=(1, 1), L=5):

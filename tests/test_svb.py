@@ -9,14 +9,14 @@ from conftest import random_gauge, random_strict_ruth
 from ruthvb.documents import canonical_dumps
 from ruthvb.doldkan import ChainComplex, dk
 from ruthvb.exactla import RatMat, Subspace, kernel
-from ruthvb.graded import BlockMap, Grading
+from ruthvb.graded import BlockMap
 from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
-from ruthvb.ruth import gauge_twist, representation_ruth, twisted_ruth_direct, uniform_bundle
+from ruthvb.ruth import gauge_twist, representation_ruth, twisted_ruth_direct
 from ruthvb.sdp import build_sdp, example_not_full, translation_svb, twisted_cleavage, verify_sdp
 from ruthvb.simplicial import face_kernel, horn_map_dense, verify_simplicial_identities
 from ruthvb.svb import (
     BundleMap,
-    canonical_cleavage,
+    _face_closures,
     check_cleavage,
     check_fibration,
     check_simplicial_map,
@@ -184,7 +184,6 @@ def test_one_bundles_morphisms_always_weakly_flat():
     rng = random.Random(3)
     # random level-zero map extended freely is not simplicial in general, so
     # instead twist the canonical cleavage and use the identity bundle map
-    from ruthvb.ruth import GaugeData
 
     psi = random_gauge(R.E, rng)
     Cpsi = twisted_cleavage(B, psi)
@@ -334,6 +333,45 @@ def test_interior_closure_failure_pinned():
     assert [f for f in rep.failures if f[0] == "interior closure"] == [
         ("interior closure", 3, 2, 2), ("interior closure", 3, 2, 10)]
     assert _report_sha256(rep) == "079f1dc9f0501e16b7e59b977130506a5c98e582e03cbf4721dd2fce54f9c0aa"
+
+
+def _witness_closure(V, C, n, s, zero_section, i):
+    """(witness dim, closed) by the witness formula: a kernel basis W of every
+    constraint but face i's, then d_i @ W^T tested with contains_map_image."""
+    eqs = [C.equations(n, s)]
+    if zero_section:
+        eqs.append(V.restrict_map(n, s, (0,))[0].to_dense())
+    for k in range(1, n):
+        mat, base_s = V.prefix_map(n, s, k)
+        eqs.append(C.equations(k, base_s) @ mat.to_dense())
+    for j in range(n + 1):
+        if j != i:
+            eqs.append(C.equations(n - 1, V.base.face(s, j)) @ V.face(n, j, s).to_dense())
+    W = kernel(RatMat.vstack(eqs))
+    img = V.face(n, i, s).to_dense() @ W.mat.transpose()
+    return W.dim, not W.dim or C.contains_map_image(n - 1, V.base.face(s, i), img)
+
+
+def test_face_closures_match_witness_formula():
+    """The rank closure of every fiber, face and zero-section variant gives the
+    witness formula's dimension and verdict."""
+    cases = [_pinned_cleavages(cyclic_group(2), (1, 1), 31),
+             _pinned_cleavages(pair_groupoid(2), (1, 1), 32),
+             _pinned_cleavages(unit_groupoid(2), (1, 1, 1), 33)]
+    V, C, Cp = example_not_full()
+    cases.append((V, [C, Cp]))
+    verdicts = set()
+    for V, cleavages in cases:
+        for C in cleavages:
+            for n in range(2, V.L + 1):
+                for s in V.base.nerve_level(n):
+                    closed = _face_closures(V, C, n, s, range(n + 1), (True, False))
+                    for zero_section in (True, False):
+                        for i in range(n + 1):
+                            got = closed[zero_section, i]
+                            assert got == _witness_closure(V, C, n, s, zero_section, i)
+                            verdicts.add(got[1])
+    assert verdicts == {True, False}
 
 
 def _twisted_tower(base, dims, seed):
