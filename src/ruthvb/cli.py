@@ -149,14 +149,13 @@ def cmd_build_sdp(args) -> int:
     rep.add("fibration of the declared order", ver.order_ok, witness=ver.order)
     rep.add("core recovers the bundle", ver.core_ok)
     rep.add("zeroth-face self-oracle", d0_paths_agree(B))
-    crep = check_cleavage(B, B.canonical_cleavage(), check_interior=False)
+    C = B.canonical_cleavage()
+    crep = check_cleavage(B, C, check_interior=False)
     rep.add("canonical cleavage normal and weakly flat",
             crep.bijective and crep.normal and crep.weakly_flat)
     if args.out:
         docs.save_document(os.path.join(args.out, "svb.json"), docs.svb_to_doc(B))
-        docs.save_document(
-            os.path.join(args.out, "cleavage.json"), docs.cleavage_to_doc(B, B.canonical_cleavage())
-        )
+        docs.save_document(os.path.join(args.out, "cleavage.json"), docs.cleavage_to_doc(B, C))
     rep.emit(args)
     return EXIT_OK if rep.ok else EXIT_VALIDATION
 

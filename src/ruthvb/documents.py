@@ -11,32 +11,54 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import ValidationError
-from .exactla import Fr, RatMat, Subspace
-from .graded import Grading
+from .errors import DimensionMismatch, ValidationError
+from .exactla import ZERO, Fr, RatMat, Subspace, _scalar
+from .graded import BlockMap, Grading
 from .groupoid import FinGroupoid
 from .ruth import GradedBundle, Ruth
 from .svb import Cleavage, SimpVB, explicit_cleavage
 
 
-def rat_to_str(x: Fraction) -> str:
-    x = Fr(x)
+def rat_to_str(x: int | Fraction) -> str:
+    if type(x) is int:
+        return str(x)
+    if type(x) is not Fraction:
+        x = Fr(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# exactly what rat_to_str writes: ASCII digits, an optional minus, "p" or "p/q"
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _scalar_from_json(s, where="") -> int | Fraction:
+    """The rational a document entry spells, as an int when integral.
+
+    An entry is a "p" or "p/q" string with a nonzero q, or a plain JSON
+    integer; a bool, a float, a sign other than a leading minus, a space, an
+    underscore or a non-ASCII digit is rejected.
+    """
+    if type(s) is int:
+        return s
+    m = _RATIONAL.fullmatch(s) if type(s) is str else None
+    if m is None:
+        raise ValidationError(f"bad rational {s!r} at {where}")
+    p, q = m.groups()
+    if q is None:
+        return int(p)
+    if not int(q):
+        raise ValidationError(f"bad rational {s!r} at {where}: zero denominator")
+    return _scalar(Fr(int(p), int(q)))
+
+
 def rat_from_str(s, where="") -> Fraction:
-    try:
-        if isinstance(s, int):
-            return Fr(s)
-        if "/" in s:
-            p, q = s.split("/")
-            return Fr(int(p), int(q))
-        return Fr(int(s))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"bad rational {s!r} at {where}: {e}") from None
+    if s == "0":
+        return ZERO  # most entries of a document
+    return Fr(_scalar_from_json(s, where))
 
 
 def mat_to_json(m: RatMat):
@@ -61,7 +83,7 @@ def _reading(kind: str):
     """Report a missing or ill-typed field as a malformed document (an input error)."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, DimensionMismatch) as e:
         raise ValidationError(f"malformed {kind} document: missing or bad field {e}") from None
 
 
@@ -219,6 +241,25 @@ def _label_to_json(label):
     return label if isinstance(label, int) else None
 
 
+def _block_map_to_json(m: BlockMap):
+    """The row-major array of m, written from its blocks: "0" off their support."""
+    src, dst = m.src, m.dst
+    rows = [["0"] * src.total for _ in range(dst.total)]
+    for (dl, sl), e in m.blocks.items():
+        doff, soff = dst.offset(dl), src.offset(sl)
+        if type(e) is RatMat:
+            for r, row in enumerate(e.data):
+                out = rows[doff + r]
+                for c, x in enumerate(row):
+                    if x:
+                        out[soff + c] = rat_to_str(x)
+        else:
+            x = rat_to_str(e)
+            for r in range(src.dim(sl)):
+                rows[doff + r][soff + r] = x
+    return rows
+
+
 def svb_to_doc(V: SimpVB) -> dict:
     G = V.base
     fibers = {}
@@ -232,12 +273,12 @@ def svb_to_doc(V: SimpVB) -> dict:
         fibers[str(n)] = level
         if n >= 1:
             faces[str(n)] = [
-                [mat_to_json(V.face(n, i, s).to_dense()) for i in range(n + 1)]
+                [_block_map_to_json(V.face(n, i, s)) for i in range(n + 1)]
                 for s in G.nerve_level(n)
             ]
         if n < V.L:
             degs[str(n)] = [
-                [mat_to_json(V.deg(n, j, s).to_dense()) for j in range(n + 1)]
+                [_block_map_to_json(V.deg(n, j, s)) for j in range(n + 1)]
                 for s in G.nerve_level(n)
             ]
     return {
@@ -250,34 +291,48 @@ def svb_to_doc(V: SimpVB) -> dict:
     }
 
 
-def _structure_mats(G: FinGroupoid, table: dict, levels, step: int, gradings: dict, name: str):
-    """Face (step -1) or degeneracy (step +1) matrices keyed (n, index, simplex).
+def _block_map_from_json(rows, src: Grading, dst: Grading, where: str) -> BlockMap:
+    """Decode a row-major array of rationals straight into block storage.
 
-    Shapes come from the fibers, because an empty array stands for every
+    Shapes come from the gradings, because an empty array stands for every
     0 x c matrix.
     """
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError(f"{where} is not an array of rows")
+    width = len(rows[0]) if rows else src.total
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"ragged matrix at {where}")
+    if (len(rows), width) != (dst.total, src.total):
+        raise ValueError(f"{where} is {len(rows)}x{width}, not {dst.total}x{src.total}")
+    sparse = []
+    for row in rows:
+        ents = []
+        for c, x in enumerate(row):
+            if x != "0":
+                v = _scalar_from_json(x, where)
+                if v:
+                    ents.append((c, v))
+        sparse.append(ents)
+    return BlockMap.from_rows(src, dst, sparse)
+
+
+def _structure_maps(G: FinGroupoid, table: dict, levels, step: int, gradings: dict, name: str):
+    """Face (step -1) or degeneracy (step +1) maps keyed (n, index, simplex)."""
     move = G.face if step < 0 else G.degeneracy
     _levels(table, levels, name)
-    mats = {}
+    maps = {}
     for n in levels:
         for s, entries in _per_simplex(G, n, table[str(n)]):
             if len(entries) != n + 1:
                 raise ValueError(f"{name} at level {n} needs {n + 1} matrices, got {len(entries)}")
             for i, rows in enumerate(entries):
-                where = f"{name} n={n} i={i}"
-                shape = (gradings[(n + step, move(s, i))].total, gradings[(n, s)].total)
-                mat = mat_from_json(rows, where)
-                if mat.rows == 0:
-                    mat = RatMat.zeros(0, shape[1])
-                if (mat.rows, mat.cols) != shape:
-                    raise ValueError(f"{where} is {mat.rows}x{mat.cols}, not {shape[0]}x{shape[1]}")
-                mats[(n, i, s)] = mat
-    return mats
+                maps[(n, i, s)] = _block_map_from_json(
+                    rows, gradings[(n, s)], gradings[(n + step, move(s, i))], f"{name} n={n} i={i}"
+                )
+    return maps
 
 
 def svb_from_doc(doc: dict) -> SimpVB:
-    from .graded import BlockMap
-
     with _reading("svb"):
         G = groupoid_from_doc(doc["groupoid"])
         L = _count(doc["L"], "L")
@@ -285,22 +340,14 @@ def svb_from_doc(doc: dict) -> SimpVB:
         fibers = _levels(doc["fibers"], range(L + 1), "fibers")
         for n in range(L + 1):
             for s, blocks in _per_simplex(G, n, fibers[str(n)]):
+                # a repeated label raises DimensionMismatch, a malformed document
                 gradings[(n, s)] = Grading(tuple(b[0] for b in blocks),
                                            tuple(_count(b[1], "block dimension") for b in blocks))
-        face_mats = _structure_mats(G, doc.get("faces", {}), range(1, L + 1), -1, gradings, "face")
-        deg_mats = _structure_mats(G, doc.get("degeneracies", {}), range(L), 1, gradings,
-                                   "degeneracy")
-
-    def grading(n, s):
-        return gradings[(n, s)]
-
-    def face(n, i, s):
-        return BlockMap.from_dense(grading(n, s), grading(n - 1, G.face(s, i)), face_mats[(n, i, s)])
-
-    def deg(n, j, s):
-        return BlockMap.from_dense(grading(n, s), grading(n + 1, G.degeneracy(s, j)), deg_mats[(n, j, s)])
-
-    return SimpVB(G, L, grading, face, deg)
+        faces = _structure_maps(G, doc.get("faces", {}), range(1, L + 1), -1, gradings, "face")
+        degs = _structure_maps(G, doc.get("degeneracies", {}), range(L), 1, gradings,
+                               "degeneracy")
+    return SimpVB(G, L, lambda n, s: gradings[(n, s)], lambda n, i, s: faces[(n, i, s)],
+                  lambda n, j, s: degs[(n, j, s)])
 
 
 def cleavage_to_doc(V: SimpVB, C: Cleavage) -> dict:

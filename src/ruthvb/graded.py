@@ -35,13 +35,17 @@ class Grading:
     def __post_init__(self):
         if len(self.labels) != len(self.dims):
             raise DimensionMismatch("labels and dims must align")
+        index = {l: i for i, l in enumerate(self.labels)}
+        if len(index) != len(self.labels):
+            # dim and offset would only ever see the last copy of the label
+            raise DimensionMismatch(f"repeated label in grading {self.labels!r}")
         offsets = []
         t = 0
         for d in self.dims:
             offsets.append(t)
             t += d
         object.__setattr__(self, "_offsets", tuple(offsets))
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_total", t)
 
     @property
@@ -193,16 +197,45 @@ class BlockMap:
     def from_dense(src: Grading, dst: Grading, mat: RatMat) -> BlockMap:
         if (mat.rows, mat.cols) != (dst.total, src.total):
             raise DimensionMismatch("dense matrix does not match gradings")
+        return BlockMap.from_rows(
+            src, dst, [[(c, x) for c, x in enumerate(row) if x] for row in mat.data]
+        )
+
+    @staticmethod
+    def from_rows(src: Grading, dst: Grading, rows) -> BlockMap:
+        """The map whose r-th row has the nonzero entries rows[r], as (column, value) pairs.
+
+        One pass groups the entries by (dst label, src label).  A square block
+        equal to c times the identity is stored as the scalar c, the form every
+        other constructor gives it; any other block is a dense RatMat.
+        """
+        if len(rows) != dst.total:
+            raise DimensionMismatch("row count does not match the target grading")
+        col_block = [(sl, c) for sl, si in zip(src.labels, src.dims) for c in range(si)]
+        grouped: dict = {}
+        r = 0
+        for dl, do in zip(dst.labels, dst.dims):
+            for rr in range(do):
+                for c, v in rows[r]:
+                    sl, cc = col_block[c]
+                    ents = grouped.get((dl, sl))
+                    if ents is None:
+                        ents = grouped[(dl, sl)] = []
+                    ents.append((rr, cc, v))
+                r += 1
         blocks = {}
-        for dl in dst.labels:
-            do, doff = dst.dim(dl), dst.offset(dl)
-            for sl in src.labels:
-                si, soff = src.dim(sl), src.offset(sl)
-                if do and si:
-                    sub = RatMat(do, si, [mat.data[doff + r][soff : soff + si] for r in range(do)])
-                    if not sub.is_zero():
-                        blocks[(dl, sl)] = sub
-        return BlockMap(src, dst, blocks)
+        for key, ents in grouped.items():
+            do, si = dst.dim(key[0]), src.dim(key[1])
+            c = ents[0][2]
+            # rows hold distinct columns, so do diagonal entries fill the diagonal
+            if do == si == len(ents) and all(rr == cc and v == c for rr, cc, v in ents):
+                blocks[key] = _scalar(c)
+            else:
+                mat = RatMat.zeros(do, si)
+                for rr, cc, v in ents:
+                    mat.data[rr][cc] = v if type(v) is Fraction else Fraction(v)
+                blocks[key] = mat
+        return BlockMap._raw(src, dst, blocks)
 
     # -- algebra -----------------------------------------------------------
 

@@ -6,16 +6,18 @@ import sys
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_chain_complex, random_gauge, random_strict_ruth
 from ruthvb import documents as docs
 from ruthvb.cli import main
 from ruthvb.doldkan import ChainComplex
 from ruthvb.errors import ValidationError
-from ruthvb.groupoid import pair_groupoid, unit_groupoid
+from ruthvb.groupoid import builtin_groupoids, pair_groupoid, unit_groupoid
 from ruthvb.ruth import chain_complex_ruth, check_rh2, gauge_twist, twisted_ruth_direct
 from ruthvb.sdp import build_sdp
 from ruthvb.simplicial import verify_simplicial_identities
+from ruthvb.svb import check_cleavage
 
 
 def test_rational_strings():
@@ -23,8 +25,12 @@ def test_rational_strings():
     assert docs.rat_to_str(Fr(-4)) == "-4"
     assert docs.rat_from_str("3/2") == Fr(3, 2)
     assert docs.rat_from_str("-4") == Fr(-4)
-    with pytest.raises(ValidationError):
-        docs.rat_from_str("1/0")
+    assert docs.rat_from_str(7) == Fr(7)  # a plain JSON integer
+    assert docs.rat_from_str("6/4") == Fr(3, 2)
+    assert docs.rat_to_str(5) == "5"
+    for bad in ("1/0", "1/00", True, 1.0, "", "-", "1/", "/2", "0x1", "1.5", "1e2", None):
+        with pytest.raises(ValidationError):
+            docs.rat_from_str(bad)
 
 
 def test_groupoid_doc_roundtrip():
@@ -68,6 +74,57 @@ def test_svb_and_cleavage_doc_roundtrip():
 
     rep = check_cleavage(V, C, check_interior=False)
     assert rep.bijective and rep.normal and rep.weakly_flat
+
+
+def _storage(m):
+    """Each block of m with its storage kind: int, Fraction (scalar blocks) or RatMat."""
+    return {key: (type(e).__name__, e) for key, e in m.blocks.items()}
+
+
+@pytest.mark.parametrize("base,dims", [("Z/2", (1, 1)), ("pair(2)", (1, 1)), ("unit(2)", (1, 1, 1)),
+                                       ("pair(2)", (2, 1))])
+def test_svb_doc_storage_roundtrip(base, dims):
+    """A reloaded bundle holds the built one's blocks, and writes the same bytes again."""
+    rng = random.Random(12)
+    R0 = random_strict_ruth(builtin_groupoids()[base], rng, dims)
+    R = twisted_ruth_direct(R0, random_gauge(R0.E, rng))
+    B = build_sdp(R, 2 * R.E.N + 3)
+    text = docs.canonical_dumps(docs.svb_to_doc(B))
+    V = docs.svb_from_doc(json.loads(text))
+    kinds = set()
+    for n in range(B.L + 1):
+        for s, t in zip(B.base.nerve_level(n), V.base.nerve_level(n)):
+            pairs = [(B.face(n, i, s), V.face(n, i, t)) for i in range(n + 1) if n]
+            pairs += [(B.deg(n, j, s), V.deg(n, j, t)) for j in range(n + 1) if n < B.L]
+            for built, loaded in pairs:
+                assert _storage(loaded) == _storage(built), (n, s)
+                kinds.update(kind for kind, _ in _storage(built).values())
+    assert "int" in kinds  # the transports
+    if max(dims) > 1:
+        assert "RatMat" in kinds
+    assert docs.canonical_dumps(docs.svb_to_doc(V)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from(sorted(builtin_groupoids())),
+       dims=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+       seed=st.integers(0, 2**16))
+def test_svb_and_cleavage_docs_roundtrip_property(base, dims, seed):
+    """Documents reload to the same bytes and the same cleavage verdicts, on every base.
+
+    Dimensions include zero, so some fibers and some face matrices are empty.
+    """
+    rng = random.Random(seed)
+    R0 = random_strict_ruth(builtin_groupoids()[base], rng, tuple(dims))
+    B = build_sdp(twisted_ruth_direct(R0, random_gauge(R0.E, rng)), 3)
+    C = B.canonical_cleavage()
+    text = docs.canonical_dumps(docs.svb_to_doc(B))
+    ctext = docs.canonical_dumps(docs.cleavage_to_doc(B, C))
+    V = docs.svb_from_doc(json.loads(text))
+    D = docs.cleavage_from_doc(V, json.loads(ctext))
+    assert docs.canonical_dumps(docs.svb_to_doc(V)) == text
+    assert docs.canonical_dumps(docs.cleavage_to_doc(V, D)) == ctext
+    assert check_cleavage(V, D, check_interior=False) == check_cleavage(B, C, check_interior=False)
 
 
 @pytest.mark.parametrize("make_tower", [
@@ -291,6 +348,32 @@ def _svb_stray_level(svb, cleavage, ruth):
     return ["validate", "svb", "svb.json"]
 
 
+def _repeated_fiber_label(svb, cleavage, ruth):
+    assert svb["fibers"]["1"][0] == [[1, 1], [3, 1]]
+    svb["fibers"]["1"][0] = [[1, 1], [1, 1]]  # block 1 would hide the first copy
+    return ["validate", "svb", "svb.json"]
+
+
+def _operator_entry(value):
+    """A corruptor writing value over the tower's 1/2 entry; each was read as a rational."""
+
+    def corrupt(svb, cleavage, ruth):
+        matrix = ruth["operators"][2]["matrix"]
+        assert matrix == [["1/2"]]
+        matrix[0][0] = value
+        return ["validate", "ruth", "ruth.json"]
+
+    corrupt.__name__ = f"_operator_entry({value!r})"
+    return corrupt
+
+
+def _face_entry_bool(svb, cleavage, ruth):
+    rows = svb["faces"]["1"][0][0]
+    assert rows[0][0] == "1"
+    rows[0][0] = True  # was read as 1, the same map
+    return ["validate", "svb", "svb.json"]
+
+
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
                                      _extra_cleavage_fiber, _negative_simplex,
                                      _unit_out_of_range, _negative_unit, _inverse_out_of_range,
@@ -304,7 +387,11 @@ def _svb_stray_level(svb, cleavage, ruth):
                                      _negative_block_dim, _string_degree, _negative_degree,
                                      _bool_simplex, _float_degree, _cleavage_wrong_L,
                                      _cleavage_without_L, _cleavage_stray_level,
-                                     _svb_stray_level])
+                                     _svb_stray_level, _repeated_fiber_label,
+                                     _operator_entry(True), _operator_entry("1_0"),
+                                     _operator_entry(" 1 "), _operator_entry("+1"),
+                                     _operator_entry("1/-2"), _operator_entry("\u0661"),
+                                     _face_entry_bool])
 def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
     """README promises exit code 2 on a malformed document, not a traceback."""
     R = random_strict_ruth(pair_groupoid(2), random.Random(4), (1, 1))

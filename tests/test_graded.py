@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruthvb.errors import DimensionMismatch
 from ruthvb.exactla import RatMat
-from ruthvb.graded import BlockMap, Grading
+from ruthvb.graded import BlockMap, Grading, _as_scalar
 
 
 def rand_blockmap(rng, src: Grading, dst: Grading, density=0.6) -> BlockMap:
@@ -31,6 +31,9 @@ def test_grading_layout():
     assert g.total == 5
     assert g.offset("c") == 2
     assert g.slice("c", (1, 2, 3, 4, 5)) == (3, 4, 5)
+    for labels in ((1, 1), (None, None)):
+        with pytest.raises(DimensionMismatch):
+            Grading(labels, (1, 1))  # a block would hide the first copy
 
 
 def test_scalar_block_must_be_square():
@@ -152,8 +155,11 @@ def test_block_algebra_matches_dense(data):
         assert_stored(m)
         assert m.to_dense() == dense, name
         assert all(type(x) is Fr for row in m.to_dense().data for x in row)
-        # equality against the same map held as dense blocks compares c*I with c
-        assert m == BlockMap.from_dense(m.src, m.dst, dense), name
+        # m may hold c*I densely (a product of dense blocks); from_dense holds the scalar c
+        loaded = BlockMap.from_dense(m.src, m.dst, dense)
+        assert m == loaded, name
+        assert_stored(loaded)
+        assert all(type(e) is not RatMat or _as_scalar(e) is None for e in loaded.blocks.values())
         if dense.rows and dense.cols:
             moved = dense.copy()
             i, j = data.draw(st.integers(0, dense.rows - 1)), data.draw(st.integers(0, dense.cols - 1))

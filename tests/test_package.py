@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+
+import ruthvb
+
+
+def test_import_binds_every_public_module():
+    """`import ruthvb` binds each name of __all__ as a module attribute.
+
+    The benchmark tracer wraps callables through these bindings, so a lazy
+    module __getattr__ would leave them unwrapped.  A fresh interpreter is
+    used because importing any submodule elsewhere in the suite binds it too.
+    """
+    code = (
+        "import ruthvb, types\n"
+        "bound = vars(ruthvb)\n"
+        "print([n for n in ruthvb.__all__ if not isinstance(bound.get(n), types.ModuleType)])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ruthvb.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
