@@ -238,7 +238,10 @@ def ruth_from_doc(doc: dict) -> Ruth:
 
 
 def _label_to_json(label):
-    return label if isinstance(label, int) else None
+    """A block mask or None as itself; no other label has a document form."""
+    if label is None or (type(label) is int and label >= 0):
+        return label
+    raise ValueError(f"fiber label {label!r} is not a block mask or null")
 
 
 def _block_map_to_json(m: BlockMap):
@@ -341,7 +344,8 @@ def svb_from_doc(doc: dict) -> SimpVB:
         for n in range(L + 1):
             for s, blocks in _per_simplex(G, n, fibers[str(n)]):
                 # a repeated label raises DimensionMismatch, a malformed document
-                gradings[(n, s)] = Grading(tuple(b[0] for b in blocks),
+                labels = (None if b[0] is None else _count(b[0], "fiber label") for b in blocks)
+                gradings[(n, s)] = Grading(tuple(labels),
                                            tuple(_count(b[1], "block dimension") for b in blocks))
         faces = _structure_maps(G, doc.get("faces", {}), range(1, L + 1), -1, gradings, "face")
         degs = _structure_maps(G, doc.get("degeneracies", {}), range(L), 1, gradings,

@@ -361,11 +361,11 @@ def check_unique_flat_cleavage(X: SimpVB) -> FlatCleavageReport:
     horn_iso = []
     for n in range(1, X.L + 1):
         D = spans[n]
+        basis = D.mat.transpose()
         for k in range(n):
             hd = horn_dim(X, n, k, None)
             stacked = horn_map_dense(X, n, k, None)
-            restricted = stacked @ D.mat.transpose() if D.dim else RatMat.zeros(stacked.rows, 0)
-            rk = restricted.rank()
+            rk = (stacked @ basis).rank()
             ok = rk == D.dim == hd
             horn_iso.append(LevelCheck(n, k, ok, f"rank {rk}, dim D {D.dim}, horn {hd}"))
     flatness = []

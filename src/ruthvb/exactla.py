@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with arbitrary-precision Fraction entries and canonical
-subspaces in reduced row echelon form.  There is one eliminator: a sparse
-forward elimination over {column: coefficient} rows, with integral entries
-kept as ints, and one back-substitution.  It decides the rank, RREF, kernel,
-inverse and solvers of dense matrices as well as the large but very sparse
-systems produced by face-map constraints.  No floating point anywhere;
-equality of subspaces is equality of representations.  All values are
-immutable in practice and safe to share between threads.
+Dense matrices with arbitrary-precision Fraction entries, and canonical
+subspaces held as their reduced row echelon form in sparse rows.  There is
+one eliminator: a sparse forward elimination over {column: coefficient}
+rows, with integral entries kept as ints, and one back-substitution.  It
+decides the rank, RREF, kernel, inverse and solvers of dense matrices as
+well as the large but very sparse systems produced by face-map constraints.
+No floating point anywhere; equality of subspaces is equality of
+representations.  A Subspace stores only tuples, so it cannot change after
+construction and is safe to share; its dense basis `mat` is a new matrix on
+every read.
 """
 
 from __future__ import annotations
@@ -170,10 +172,10 @@ class RatMat:
 
     def rref(self) -> tuple[RatMat, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        reduced = _back_substitute(_sparse_eliminate(self._sparse_rows()))
-        data = _rref_rows(reduced, self.cols)
+        basis = Subspace.span(self.cols, self._sparse_rows())
+        data = basis.mat.data
         data.extend([ZERO] * self.cols for _ in range(self.rows - len(data)))
-        return RatMat(self.rows, self.cols, data), tuple(sorted(reduced))
+        return RatMat(self.rows, self.cols, data), tuple(row[0][0] for row in basis.rows)
 
     def rank(self) -> int:
         return len(_sparse_eliminate(self._sparse_rows()))
@@ -185,15 +187,6 @@ class RatMat:
 
     def __repr__(self):
         return f"RatMat({self.rows}x{self.cols})"
-
-
-def solve_unique(A: RatMat, b) -> tuple[Fraction, ...]:
-    """The unique x with A x = b; exact.
-
-    Raises NoSolutionError when b is outside the column space and
-    NonUniqueSolutionError when the kernel is nontrivial.
-    """
-    return solve_matrix(A, RatMat.col_vector(list(b))).col(0)
 
 
 def left_solver(M: RatMat) -> RatMat:
@@ -228,22 +221,27 @@ def solve_matrix(A: RatMat, B: RatMat) -> RatMat:
 
 
 class Subspace:
-    """A subspace of Q^ambient with an RREF basis; equal iff represented equally."""
+    """A subspace of Q^ambient held as its reduced row echelon form.
 
-    __slots__ = ("ambient", "mat", "_eqs")
+    rows is a tuple, in pivot order, of ((column, coefficient), ...) rows
+    sorted by column, integral coefficients as ints.  Each row starts with
+    its pivot at coefficient 1 and is 0 at every other pivot.  The RREF is
+    unique, so two subspaces are equal iff their rows are.
+    """
 
-    def __init__(self, ambient: int, mat: RatMat):
-        if mat.cols != ambient:
-            raise DimensionMismatch("basis width must equal ambient dimension")
+    __slots__ = ("ambient", "rows")
+
+    def __init__(self, ambient: int, rows: tuple):
         self.ambient = ambient
-        self.mat = mat  # RREF, no zero rows
-        self._eqs = None
+        self.rows = rows
 
     @staticmethod
-    def span(ambient: int, sparse_rows: list[dict[int, Fraction]]) -> Subspace:
-        """The span of {column: coefficient} rows, eliminated once."""
-        data = _rref_rows(_back_substitute(_sparse_eliminate(sparse_rows)), ambient)
-        return Subspace(ambient, RatMat(len(data), ambient, data))
+    def span(ambient: int, sparse_rows) -> Subspace:
+        """The span of {column: coefficient} rows (or pair tuples), eliminated once."""
+        pivots = _back_substitute(_sparse_eliminate(sparse_rows))
+        return Subspace(ambient, tuple(
+            tuple(sorted((v, _scalar(c)) for v, c in pivots[pv].items())) for pv in sorted(pivots)
+        ))
 
     @staticmethod
     def from_rows(ambient: int, rows) -> Subspace:
@@ -256,55 +254,74 @@ class Subspace:
 
     @staticmethod
     def zero(ambient: int) -> Subspace:
-        return Subspace(ambient, RatMat.zeros(0, ambient))
+        return Subspace(ambient, ())
 
     @staticmethod
     def full(ambient: int) -> Subspace:
-        return Subspace(ambient, RatMat.identity(ambient))
+        return Subspace(ambient, tuple(((j, 1),) for j in range(ambient)))
 
     @property
     def dim(self) -> int:
-        return self.mat.rows
+        return len(self.rows)
+
+    @property
+    def mat(self) -> RatMat:
+        """The basis as a new dense RatMat, one row per pivot."""
+        data = []
+        for row in self.rows:
+            dense = [ZERO] * self.ambient
+            for v, c in row:
+                dense[v] = Fr(c)
+            data.append(dense)
+        return RatMat(len(data), self.ambient, data)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.mat == other.mat
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.mat))
+        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
+    def _expand(self, vec) -> tuple[tuple[Fraction, ...], list]:
+        """vec's entries at the pivots, and vec minus that combination of rows.
+
+        A row is 1 at its own pivot and 0 at every other pivot, so these are
+        the only possible coefficients; vec is a member iff the rest is zero.
+        """
+        if len(vec) != self.ambient:
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        coords = tuple(Fr(vec[row[0][0]]) for row in self.rows)
+        rest = list(vec)
+        for c, row in zip(coords, self.rows):
+            if c:
+                for v, a in row:
+                    rest[v] -= c * a
+        return coords, rest
+
     def contains(self, vec) -> bool:
-        return RatMat.vstack([self.mat, RatMat.from_rows([vec], self.ambient)]).rank() == self.dim
+        return not any(self._expand(vec)[1])
 
     def coordinates(self, vec) -> tuple[Fraction, ...]:
         """Coefficients of vec in the basis rows; raises if not a member."""
-        return solve_unique(self.mat.transpose(), list(vec))
+        coords, rest = self._expand(vec)
+        if any(rest):
+            raise NoSolutionError("vector outside the subspace")
+        return coords
 
     def equations(self) -> RatMat:
-        """Rows N with S = {x : N x = 0}."""
-        if self._eqs is None:
-            self._eqs = kernel(self.mat).mat
-        return self._eqs
+        """Rows N with S = {x : N x = 0}, in reduced row echelon form."""
+        return Subspace.span(self.ambient, sparse_kernel_basis(self.rows, self.ambient)).mat
 
 
 def kernel(A: RatMat) -> Subspace:
     """Exact null space {x : A x = 0} with canonical RREF basis."""
     return Subspace.span(A.cols, sparse_kernel_basis(A._sparse_rows(), A.cols))
-
-
-def image(A: RatMat, S: Subspace | None = None) -> Subspace:
-    """Column space of A, or A(S) when S is given."""
-    if S is None:
-        return Subspace.from_rows(A.rows, [list(col) for col in zip(*A.data)] if A.rows else [])
-    if S.ambient != A.cols:
-        raise DimensionMismatch("subspace ambient must match column count")
-    return Subspace.from_rows(A.rows, [list(A.apply(row)) for row in S.mat.data])
 
 
 def preimage(A: RatMat, S: Subspace) -> Subspace:
@@ -322,18 +339,11 @@ def intersect(S: Subspace, T: Subspace) -> Subspace:
     return kernel(RatMat.vstack([S.equations(), T.equations()]))
 
 
-def sum_subspaces(S: Subspace, T: Subspace) -> Subspace:
-    """S + T: the span of both bases."""
-    if S.ambient != T.ambient:
-        raise DimensionMismatch("ambient dimensions differ")
-    return Subspace.from_rows(S.ambient, S.mat.data + T.mat.data)
-
-
 def is_complement(S: Subspace, T: Subspace, ambient: int) -> bool:
     """True when dim S + dim T = ambient and the stacked bases have full rank."""
     if S.ambient != ambient or T.ambient != ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    return S.dim + T.dim == ambient and RatMat.vstack([S.mat, T.mat]).rank() == ambient
+    return S.dim + T.dim == ambient and sparse_rank(S.rows + T.rows, ambient) == ambient
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +442,6 @@ def _back_substitute(pivots: dict[int, dict[int, Fraction]]) -> dict[int, dict[i
                 else:
                     row.pop(v2, None)
     return pivots
-
-
-def _rref_rows(pivots: dict[int, dict[int, Fraction]], nvars: int) -> list[list[Fraction]]:
-    """The back-substituted pivot rows as dense Fraction rows, in pivot order."""
-    out = []
-    for pv in sorted(pivots):
-        row = [ZERO] * nvars
-        for v, c in pivots[pv].items():
-            row[v] = Fr(c)
-        out.append(row)
-    return out
 
 
 def sparse_rank(rows: list[dict[int, Fraction]], nvars: int) -> int:

@@ -279,12 +279,6 @@ class RuthMorphism(_OperatorTable):
         self.source = source
         self.target = target
 
-    def is_gauge(self) -> bool:
-        E = self.source.E
-        return E == self.target.E and all(
-            self.ops.get(key, {}) == table for key, table in _identity_ops(E).items()
-        )
-
 
 def identity_morphism(R: Ruth) -> RuthMorphism:
     return RuthMorphism(R, R, _identity_ops(R.E))
@@ -379,7 +373,7 @@ def twisted_ruth_direct(R: Ruth, psi: GaugeData) -> Ruth:
 
 def cycles_borders(R: Ruth, x: int):
     """Per-degree (cycle, border, homology) dims of the fiber differential at x."""
-    from .exactla import image, kernel
+    from .exactla import kernel
 
     E = R.E
     s = NerveSimplex(x, ())
@@ -387,8 +381,7 @@ def cycles_borders(R: Ruth, x: int):
     for n in E.degrees():
         d_n = R.block(0, s, n)  # E_n -> E_{n-1}
         z = kernel(d_n).dim if d_n.rows else E.dim(x, n)
-        d_up = R.block(0, s, n + 1) if n + 1 <= E.N else RatMat.zeros(E.dim(x, n), 0)
-        b = image(d_up).dim if d_up.cols else 0
+        b = R.block(0, s, n + 1).rank() if n + 1 <= E.N else 0
         out[n] = (z, b, z - b)
     return out
 
@@ -453,23 +446,6 @@ class LinearGroupoidData:
     """
 
     R: Ruth
-
-    def source_matrix(self, g: NerveSimplex) -> RatMat:
-        E = self.R.E
-        c = E.dim(self.R.G.vertex_obj(g, 1), 1)
-        e = E.dim(g.x0, 0)
-        out = RatMat.zeros(e, c + e)
-        for i in range(e):
-            out.data[i][c + i] = Fr(1)
-        return out
-
-    def target_matrix(self, g: NerveSimplex) -> RatMat:
-        E = self.R.E
-        y = self.R.G.vertex_obj(g, 1)
-        c = E.dim(y, 1)
-        r0 = self.R.block(0, NerveSimplex(y, ()), 1)  # E_1^y -> E_0^y
-        r1 = self.R.block(1, g, 0)  # E_0^x -> E_0^y
-        return RatMat.hstack([r0, r1]) if c else r1
 
     def mult_matrix(self, pair: NerveSimplex) -> RatMat:
         """((c', e'), (c, e)) -> composite (c' + R_1 c + R_2 e, e) over a 2-simplex."""

@@ -99,7 +99,7 @@ def face_kernel(fc, n: int, key, face_indices) -> Subspace:
     """∩ ker d_i over the given face indices, inside fiber(n, key).
 
     Computed once per bundle and face set; every caller gets the same
-    Subspace, which must not be mutated.
+    (immutable) Subspace.
     """
     memo = (n, key, tuple(face_indices))
     sub = fc._kernels.get(memo)
@@ -172,23 +172,9 @@ def horn_dim(fc, n: int, k: int, key) -> int:
     return d
 
 
-def horn_space_basis(fc, n: int, k: int, key) -> tuple[HornSystem, Subspace]:
-    hs = horn_system(fc, n, k, key)
-    return hs, Subspace.span(hs.total, sparse_kernel_basis(hs.rows, hs.total))
-
-
 def horn_map_dense(fc, n: int, k: int, key):
     """Stacked faces (j != k) as one dense matrix fiber(n,key) -> product of faces."""
     from .exactla import RatMat
 
     mats = [fc.face(n, j, key).to_dense() for j in range(n + 1) if j != k]
     return RatMat.vstack(mats)
-
-
-def horn_of_vector(fc, n: int, k: int, key, vec) -> tuple[Fraction, ...]:
-    out = []
-    for j in range(n + 1):
-        if j == k:
-            continue
-        out.extend(fc.face(n, j, key).apply(vec))
-    return tuple(out)

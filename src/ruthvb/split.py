@@ -172,20 +172,6 @@ class SplitContext:
                 _, cur, base = self.push_forward(n, i, base, cur)
         return cur, base
 
-    def retraction_matrix(self, n: int, s: NerveSimplex, a: int | None = None):
-        d = self.V.fiber_dim(n, s)
-        cols = []
-        base_out = None
-        for c in range(d):
-            e = tuple(Fr(1) if r == c else Fr(0) for r in range(d))
-            vec, base_out = self.retraction_vector(n, s, e, a)
-            cols.append(vec)
-        out = RatMat.zeros(len(cols[0]) if cols else 0, d)
-        for c, col in enumerate(cols):
-            for r, v in enumerate(col):
-                out.data[r][c] = v
-        return out, (base_out if base_out is not None else s)
-
     # -- the splitting coordinate change --------------------------------------
 
     def split_matrix(self, n: int, s: NerveSimplex) -> RatMat:

@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_chain_complex, random_gauge, random_strict_ruth
 from ruthvb import documents as docs
 from ruthvb.cli import main
-from ruthvb.doldkan import ChainComplex
+from ruthvb.doldkan import ChainComplex, dk_classic
+from ruthvb.exactla import RatMat
 from ruthvb.errors import ValidationError
 from ruthvb.groupoid import builtin_groupoids, pair_groupoid, unit_groupoid
 from ruthvb.ruth import chain_complex_ruth, check_rh2, gauge_twist, twisted_ruth_direct
 from ruthvb.sdp import build_sdp
 from ruthvb.simplicial import verify_simplicial_identities
-from ruthvb.svb import check_cleavage
+from ruthvb.svb import check_cleavage, pullback_svb
 
 
 def test_rational_strings():
@@ -70,7 +71,7 @@ def test_svb_and_cleavage_doc_roundtrip():
             assert V.face(n, 0, s2).to_dense() == B.face(n, 0, s).to_dense()
     cdoc = docs.cleavage_to_doc(B, B.canonical_cleavage())
     C = docs.cleavage_from_doc(V, json.loads(docs.canonical_dumps(cdoc)))
-    from ruthvb.svb import check_cleavage
+    from ruthvb.svb import check_cleavage, pullback_svb
 
     rep = check_cleavage(V, C, check_interior=False)
     assert rep.bijective and rep.normal and rep.weakly_flat
@@ -354,6 +355,18 @@ def _repeated_fiber_label(svb, cleavage, ruth):
     return ["validate", "svb", "svb.json"]
 
 
+def _fiber_label(value):
+    """A corruptor renaming the first block of a level-1 fiber; labels are masks or null."""
+
+    def corrupt(svb, cleavage, ruth):
+        assert svb["fibers"]["1"][0] == [[1, 1], [3, 1]]
+        svb["fibers"]["1"][0][0][0] = value
+        return ["validate", "svb", "svb.json"]
+
+    corrupt.__name__ = f"_fiber_label({value!r})"
+    return corrupt
+
+
 def _operator_entry(value):
     """A corruptor writing value over the tower's 1/2 entry; each was read as a rational."""
 
@@ -388,6 +401,8 @@ def _face_entry_bool(svb, cleavage, ruth):
                                      _bool_simplex, _float_degree, _cleavage_wrong_L,
                                      _cleavage_without_L, _cleavage_stray_level,
                                      _svb_stray_level, _repeated_fiber_label,
+                                     _fiber_label("m1"), _fiber_label(1.0), _fiber_label(True),
+                                     _fiber_label([1]),
                                      _operator_entry(True), _operator_entry("1_0"),
                                      _operator_entry(" 1 "), _operator_entry("+1"),
                                      _operator_entry("1/-2"), _operator_entry("\u0661"),
@@ -404,6 +419,14 @@ def test_cli_malformed_documents_exit_2(corrupt, tmp_path, monkeypatch):
                       ("groupoid.json", ruth["groupoid"])):
         docs.save_document(name, doc)
     assert main(["--quiet"] + argv) == 2
+
+
+def test_svb_writer_rejects_labels_without_document_form():
+    """dk_classic labels its blocks by tuples: writing them as null would give
+    a document with repeated labels, which the loader rejects."""
+    Y = ChainComplex((1, 1), {1: RatMat.from_rows([[1]])})
+    with pytest.raises(ValueError, match="fiber label"):
+        docs.svb_to_doc(pullback_svb(dk_classic(Y, 3), unit_groupoid(1)))
 
 
 @pytest.fixture()

@@ -30,8 +30,6 @@ from ruthvb.simplicial import (
     face_kernel,
     horn_dim,
     horn_map_dense,
-    horn_of_vector,
-    horn_space_basis,
     verify_simplicial_identities,
 )
 from ruthvb.svb import Cleavage, SimpVB, _face_rows, _prefix_rows
@@ -141,13 +139,6 @@ def test_kan_horns_fill_uniquely_above_top_degree():
             assert stacked.rank() == hd  # fillers exist
             unique = X.dim(n) == stacked.rank()
             assert unique == (n > Y.max_degree)
-
-
-def test_horn_of_vector_consistent():
-    X = dk(TWO_STEP, 4)
-    _, basis = horn_space_basis(X, 2, 1, None)
-    vec = tuple(Fr(i + 1) for i in range(X.dim(2)))
-    assert basis.contains(horn_of_vector(X, 2, 1, None, vec))
 
 
 def test_check_unique_flat_cleavage():

@@ -8,17 +8,14 @@ from ruthvb.errors import DimensionMismatch, NoSolutionError, NonUniqueSolutionE
 from ruthvb.exactla import (
     RatMat,
     Subspace,
-    image,
     intersect,
     is_complement,
     kernel,
     left_solver,
     preimage,
     solve_matrix,
-    solve_unique,
     sparse_kernel_basis,
     sparse_rank,
-    sum_subspaces,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -47,15 +44,18 @@ def test_rank_nullity(data):
 
 
 def test_solve_unique():
+    def solve(A, b):
+        return solve_matrix(A, RatMat.col_vector(b)).col(0)
+
     A = RatMat.from_rows([[2]])
-    assert solve_unique(A, [3]) == (Fr(3, 2),)
+    assert solve(A, [3]) == (Fr(3, 2),)
     I = RatMat.identity(3)
-    assert solve_unique(I, [1, 2, 3]) == (Fr(1), Fr(2), Fr(3))
+    assert solve(I, [1, 2, 3]) == (Fr(1), Fr(2), Fr(3))
     sing = RatMat.from_rows([[1, 1], [1, 1]])
     with pytest.raises(NoSolutionError):
-        solve_unique(sing, [1, 2])
+        solve(sing, [1, 2])
     with pytest.raises(NonUniqueSolutionError):
-        solve_unique(sing, [1, 1])
+        solve(sing, [1, 1])
 
 
 def test_left_solver_roundtrip():
@@ -100,10 +100,10 @@ def test_subspace_ops():
     assert is_complement(Subspace.from_rows(3, [[1, 0, 0]]), xy_plane, 3) is False
     assert is_complement(x_axis, x_axis, 2) is False
     assert intersect(x_axis, x_axis) == x_axis
-    assert sum_subspaces(x_axis, y_axis) == Subspace.full(2)
+    assert Subspace.from_rows(2, x_axis.mat.data + y_axis.mat.data) == Subspace.full(2)
     proj = RatMat.from_rows([[1, 0]])  # Q^2 -> Q^1
     assert preimage(proj, Subspace.zero(1)) == Subspace.from_rows(2, [[0, 1]])
-    assert image(proj, Subspace.full(2)) == Subspace.full(1)
+    assert Subspace.from_rows(1, [proj.apply(r) for r in Subspace.full(2).mat.data]) == Subspace.full(1)
 
 
 @given(st.data())
@@ -112,7 +112,7 @@ def test_image_preimage_adjunction(data):
     A = data.draw(mats(3, 3))
     rows = data.draw(st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=2))
     S = Subspace.from_rows(3, rows)
-    img = image(A, preimage(A, S))
+    img = Subspace.from_rows(3, [A.apply(row) for row in preimage(A, S).mat.data])
     assert intersect(img, S) == img  # img subseteq S
 
 
@@ -123,7 +123,7 @@ def test_sum_intersection_dimension_formula(data):
     rows2 = data.draw(st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=3))
     S = Subspace.from_rows(4, rows1)
     T = Subspace.from_rows(4, rows2)
-    assert sum_subspaces(S, T).dim + intersect(S, T).dim == S.dim + T.dim
+    assert Subspace.from_rows(4, S.mat.data + T.mat.data).dim + intersect(S, T).dim == S.dim + T.dim
 
 
 def test_equations_form():
@@ -284,3 +284,46 @@ def test_eliminator_matches_gauss_jordan(data):
     assert _outcome(RatMat.inverse, A) == _outcome(_ref_inverse, A)
     B = _mat(data, r, data.draw(st.integers(0, 3), label="rhs cols"))
     assert _outcome(solve_matrix, A, B) == _outcome(_ref_solve_matrix, A, B)
+
+
+def _ref_rank(rows, cols):
+    return len(_gauss_jordan(RatMat.from_rows(rows, cols))[1])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspace_semantics(data):
+    """The sparse RREF rows of a span against the dense reference: basis,
+    coordinates, membership, complements and hashing."""
+    n = data.draw(st.integers(0, 5), label="ambient")
+    rows = data.draw(st.lists(_rows(n), max_size=4), label="rows")
+    S = Subspace.from_rows(n, rows)
+    red, piv = _gauss_jordan(RatMat.from_rows(rows, n))
+    assert S.mat.data == red[: len(piv)] and _exact(S.mat.data)
+    assert all(isinstance(c, int) for row in S.rows for _, c in row if c.denominator == 1)
+    # coordinates are read at the pivots
+    coeffs = data.draw(st.lists(rationals, min_size=S.dim, max_size=S.dim), label="coeffs")
+    vec = [sum((c * row[j] for c, row in zip(coeffs, S.mat.data)), Fr(0)) for j in range(n)]
+    assert S.coordinates(vec) == tuple(coeffs)
+    w = data.draw(_rows(n), label="vector")
+    member = _ref_rank(S.mat.data + [w], n) == S.dim
+    assert S.contains(w) == member
+    if not member:
+        with pytest.raises(NoSolutionError):
+            S.coordinates(w)
+    T = Subspace.from_rows(n, data.draw(st.lists(_rows(n), max_size=4), label="other"))
+    assert is_complement(S, T, n) == (
+        S.dim + T.dim == n and _ref_rank(S.mat.data + T.mat.data, n) == n
+    )
+    # another spanning set of the same space gives the same rows and hash
+    total = [sum(col, Fr(0)) for col in zip(*rows)]
+    again = Subspace.from_rows(n, rows[::-1] + ([total] if rows else []))
+    assert again == S and hash(again) == hash(S) == hash(Subspace.span(n, S.rows))
+
+
+def test_subspace_is_immutable():
+    rows = [[1, 2, 0], [0, 0, 3]]
+    S = Subspace.from_rows(3, rows)
+    S.mat.data[0][0] += 1
+    assert S == Subspace.from_rows(3, rows) and S.mat == Subspace.from_rows(3, rows).mat
+    assert type(S.rows) is tuple and all(type(row) is tuple for row in S.rows)
