@@ -10,6 +10,11 @@ verification composes index transports instead of full matrices.
 A scalar block is a Python int when it is integral and a Fraction only when
 it is not; no stored block is zero.  Transports therefore compose and compare
 in native integer arithmetic, and every result stays an exact rational.
+
+A BlockMap carries two write-once caches read off its blocks: its sparse rows
+(sparse_rows) and its blocks grouped by target label (the index compose reads
+on its right operand, filled on first use).  So blocks must never change after
+construction.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ def _entries_equal(a: Entry | None, b: Entry | None) -> bool:
 class BlockMap:
     """A linear map dst <- src given by blocks keyed (dst_label, src_label)."""
 
-    __slots__ = ("src", "dst", "blocks", "_rows")
+    __slots__ = ("src", "dst", "blocks", "_rows", "_index")
 
     @classmethod
     def _raw(cls, src: Grading, dst: Grading, blocks: dict) -> BlockMap:
@@ -152,12 +157,14 @@ class BlockMap:
         self.dst = dst
         self.blocks = blocks
         self._rows = None
+        self._index = None
         return self
 
     def __init__(self, src: Grading, dst: Grading, blocks: dict):
         self.src = src
         self.dst = dst
         self._rows = None
+        self._index = None
         self.blocks = {}
         for (dl, sl), e in blocks.items():
             do, si = dst.dim(dl), src.dim(sl)
@@ -239,14 +246,26 @@ class BlockMap:
 
     # -- algebra -----------------------------------------------------------
 
+    def _by_dst(self) -> dict:
+        """Blocks grouped by destination label, {dst label: [(src label, entry), ...]} (cached)."""
+        if self._index is None:
+            index: dict = {}
+            for (dl, sl), e in self.blocks.items():
+                lst = index.get(dl)
+                if lst is None:
+                    index[dl] = [(sl, e)]
+                else:
+                    lst.append((sl, e))
+            self._index = index
+        return self._index
+
     def compose(self, other: BlockMap) -> BlockMap:
         """self ∘ other (apply other first)."""
         if other.dst is not self.src and other.dst != self.src:
             raise DimensionMismatch("composition gradings do not match")
-        by_mid: dict = {}
-        for (ml, sl), e in other.blocks.items():
-            by_mid.setdefault(ml, []).append((sl, e))
+        by_mid = other._by_dst()
         acc: dict = {}
+        cancelled = False
         for (dl, ml), e1 in self.blocks.items():
             lst = by_mid.get(ml)
             if not lst:
@@ -256,10 +275,18 @@ class BlockMap:
                 prev = acc.get(key)
                 if type(e1) is int and type(e2) is int:
                     # a product of nonzero ints is a nonzero int
-                    acc[key] = e1 * e2 if prev is None else _entry_add(prev, e1 * e2)
+                    if prev is None:
+                        acc[key] = e1 * e2
+                        continue
+                    v = _entry_add(prev, e1 * e2)
                 else:
-                    acc[key] = _entry_add(prev, _entry_mul(e1, e2))
-        return BlockMap._raw(other.src, self.dst, {k: v for k, v in acc.items() if v is not None})
+                    v = _entry_add(prev, _entry_mul(e1, e2))
+                acc[key] = v
+                if v is None:
+                    cancelled = True
+        if cancelled:
+            acc = {k: v for k, v in acc.items() if v is not None}
+        return BlockMap._raw(other.src, self.dst, acc)
 
     def __add__(self, other: BlockMap) -> BlockMap:
         if self.src != other.src or self.dst != other.dst:
@@ -294,6 +321,9 @@ class BlockMap:
             self.dst is not other.dst and self.dst != other.dst
         ):
             return False
+        # stored blocks compare exactly, so equal dicts are equal maps
+        if self.blocks == other.blocks:
+            return True
         # no stored block is zero, so maps with different supports differ
         if self.blocks.keys() != other.blocks.keys():
             return False
@@ -362,18 +392,18 @@ class BlockMap:
             soff = self.src.offset(sl)
             doff = self.dst.offset(dl)
             si = self.src.dim(sl)
+            # blocks sharing a row have distinct source labels, hence disjoint columns
             if type(e) is not RatMat:
                 for r in range(si):
-                    rows[doff + r][soff + r] = rows[doff + r].get(soff + r, 0) + e
+                    rows[doff + r][soff + r] = e
             else:
                 for r, row in enumerate(e.data):
                     tgt = rows[doff + r]
                     for c, a in enumerate(row):
                         if a:
-                            ai = int(a) if a.denominator == 1 else a
-                            tgt[soff + c] = tgt.get(soff + c, 0) + ai
-        self._rows = [{k: v for k, v in r.items() if v} for r in rows]
-        return self._rows
+                            tgt[soff + c] = int(a) if a.denominator == 1 else a
+        self._rows = rows
+        return rows
 
     def __repr__(self):
         return f"BlockMap({self.dst.total}x{self.src.total}, {len(self.blocks)} blocks)"

@@ -58,11 +58,12 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
             if n + 1 <= fc.L:
                 degs = {j: fc.deg(n, j, key) for j in range(n + 1)}
                 dkeys = {j: fc.base.degeneracy(key, j) for j in range(n + 1)}
+                ident = BlockMap.identity(fc.grading(n, key))
                 for j in range(n + 1):
                     for i in range(n + 2):
                         lhs = fc.face(n + 1, i, dkeys[j]).compose(degs[j])
                         if i == j or i == j + 1:
-                            rhs = BlockMap.identity(fc.grading(n, key))
+                            rhs = ident
                         elif i < j:
                             rhs = fc.deg(n - 1, j - 1, fc.base.face(key, i)).compose(
                                 fc.face(n, i, key)

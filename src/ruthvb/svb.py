@@ -79,20 +79,24 @@ class SimpVB:
     def restrict_map(self, n: int, s: NerveSimplex, verts) -> tuple[BlockMap, NerveSimplex]:
         """Restriction to a vertex subset as a composite of faces.
 
-        Deletes missing vertices from the top down; returns the map together
-        with the base simplex it lands over.
+        Deletes missing vertices from the top down, starting from the first
+        deleted face; the identity is built only when no vertex is deleted.
+        Returns the map together with the base simplex it lands over.
         """
         keep = set(verts)
         cur_verts = list(range(n + 1))
         cur_s = s
         cur_n = n
-        cur = BlockMap.identity(self.grading(n, s))
+        cur = None
         for v in sorted((set(range(n + 1)) - keep), reverse=True):
             pos = cur_verts.index(v)
-            cur = self.face(cur_n, pos, cur_s).compose(cur)
+            face = self.face(cur_n, pos, cur_s)
+            cur = face if cur is None else face.compose(cur)
             cur_s = self.base.face(cur_s, pos)
             cur_verts.pop(pos)
             cur_n -= 1
+        if cur is None:
+            cur = BlockMap.identity(self.grading(n, s))
         return cur, cur_s
 
     def prefix_map(self, n: int, s: NerveSimplex, k: int) -> tuple[BlockMap, NerveSimplex]:

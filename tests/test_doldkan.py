@@ -257,18 +257,36 @@ def test_surjection_labels_counts():
             assert sum(1 for l in labels if l[-1] == k) == comb(n, k)
 
 
+def _moved(m):
+    """m with its first block, a transport block, moved by 1/2."""
+    dl, sl = next(iter(m.blocks))
+    return m + BlockMap.transport(m.src, m.dst, [(dl, sl, Fr(1, 2))])
+
+
 def _perturbed_dk(Y):
     """dk(Y) with its (2, 1) face moved by 1/2 on one transport block."""
     X = dk(Y)
 
     def face(n, i, s=None):
         f = X.face(n, i)
-        if (n, i) != (2, 1):
-            return f
-        dl, sl = next(iter(f.blocks))
-        return f + BlockMap.transport(f.src, f.dst, [(dl, sl, Fr(1, 2))])
+        return _moved(f) if (n, i) == (2, 1) else f
 
     return SimpVB(POINT, X.L, X.grading, face, X.deg)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_degeneracy_perturbation_reported(j):
+    """Moving a block of u_j at level 1 breaks d_j u_j = id = d_{j+1} u_j there."""
+    X = dk(TWO_STEP)
+
+    def deg(n, jj, s=None):
+        u = X.deg(n, jj)
+        return _moved(u) if (n, jj) == (1, j) else u
+
+    rep = verify_simplicial_identities(SimpVB(POINT, X.L, X.grading, X.face, deg))
+    assert rep.checked == verify_simplicial_identities(X).checked
+    at_level_1 = {v.indices for v in rep.violations if v.identity == "d_i u_j" and v.level == 1}
+    assert at_level_1 == {(0, j), (1, j), (2, j)}
 
 
 def _identity_report_digests():

@@ -139,11 +139,14 @@ def assert_stored(m: BlockMap):
 def test_block_algebra_matches_dense(data):
     ga, gb, gc = data.draw(gradings(3)), data.draw(gradings(2)), data.draw(gradings(3))
     f, h = block_maps(data, ga, gb), block_maps(data, ga, gb)
-    g = block_maps(data, gb, gc)
+    g, g2 = block_maps(data, gb, gc), block_maps(data, gb, gc)
     c = data.draw(st.sampled_from(SCALARS + [0]))
-    F, H, G = f.to_dense(), h.to_dense(), g.to_dense()
+    F, H, G, G2 = f.to_dense(), h.to_dense(), g.to_dense(), g2.to_dense()
     results = {
+        # f is the right operand three times: its cached index is filled, reused, reused again
         "compose": (g.compose(f), G @ F),
+        "compose other left": (g2.compose(f), G2 @ F),
+        "compose again": (g.compose(f), G @ F),
         "add": (f + h, F + H),
         "sub": (f - h, F - H),
         "neg": (-f, -F),
@@ -188,4 +191,15 @@ def test_cancellations_keep_storage_rule():
     a = BlockMap(g2, g2, {(0, 0): RatMat.from_rows([[1, 0], [0, 0]])})
     b = BlockMap(g2, g2, {(0, 0): RatMat.from_rows([[0, 0], [0, 1]])})
     assert a.compose(b).is_zero() and not a.compose(b).blocks
+    # two middle paths that cancel, through int, Fraction and dense blocks: g∘f stores no block
+    mid = Grading((0, 1), (1, 1))
+    paths = [
+        (BlockMap(g1, mid, {(0, 0): 1, (1, 0): 1}), BlockMap(mid, g1, {(0, 0): 1, (0, 1): -1})),
+        (BlockMap(g1, mid, {(0, 0): Fr(1, 2), (1, 0): 1}), BlockMap(mid, g1, {(0, 0): 2, (0, 1): -1})),
+        (BlockMap(g1, mid, {(0, 0): RatMat.from_rows([[2]]), (1, 0): 1}),
+         BlockMap(mid, g1, {(0, 0): Fr(1, 2), (0, 1): -1})),
+    ]
+    for f, g in paths:
+        assert g.compose(f).is_zero() and not g.compose(f).blocks
+        assert g.compose(f) == BlockMap.zero(g1, g1)
     assert BlockMap(g2, g2, {(0, 0): Fr(0)}).is_zero()

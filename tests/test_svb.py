@@ -380,6 +380,22 @@ def _twisted_tower(base, dims, seed):
     return twisted_ruth_direct(R0, random_gauge(R0.E, rng))
 
 
+def test_restrict_map_equals_identity_then_faces():
+    V = build_sdp(_twisted_tower(cyclic_group(2), (1, 1), 41), 3)
+    for n in range(4):
+        for s in V.base.nerve_level(n):
+            for bits in range(1, 1 << (n + 1)):
+                verts = tuple(v for v in range(n + 1) if bits >> v & 1)
+                ref, base, m = BlockMap.identity(V.grading(n, s)), s, n
+                for v in reversed(range(n + 1)):
+                    if v not in verts:
+                        ref = V.face(m, v, base).compose(ref)
+                        base, m = V.base.face(base, v), m - 1
+                got, got_base = V.restrict_map(n, s, verts)
+                assert got == ref and got.blocks == ref.blocks
+                assert got_base == base == V.base.restrict_vertices(s, verts)
+
+
 def _perturbed_r2(R):
     """R with one entry of its first nonzero R_2 block over a nondegenerate simplex moved."""
     s = next(s for s in R.G.nerve_level(2) if not R.G.is_degenerate(s) and R.block(2, s, 0).rows)
