@@ -356,16 +356,18 @@ def is_complement(S: Subspace, T: Subspace, ambient: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sparse_eliminate(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+def _sparse_eliminate(rows: list[dict[int, Fraction]], pivots=None) -> dict[int, dict[int, Fraction]]:
     """Forward-eliminate sparse rows; returns pivot-variable -> normalized row.
 
     Each pivot is the least variable of its row, and a pivot row is never
     edited once stored, so the pivots are the RREF pivot columns.  The input
-    dicts are copied, never changed (callers hand in cached rows).
+    dicts are copied, never changed (callers hand in cached rows).  Given
+    pivots (such a result, possibly back-substituted), the rows are reduced
+    on top of a shallow copy of them; the stored rows are never edited.
     Coefficients may be ints or Fractions (mixed arithmetic stays exact);
     unit coefficients take a division-free path since transport rows dominate.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots = {} if pivots is None else dict(pivots)
     queue = sorted((r for r in rows if r), key=len)
     for row in queue:
         row = dict(row)

@@ -51,6 +51,7 @@ class Grading:
             t += d
         object.__setattr__(self, "_offsets", tuple(offsets))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_dims", dict(zip(self.labels, self.dims)))
         object.__setattr__(self, "_total", t)
 
     @property
@@ -61,7 +62,7 @@ class Grading:
         return self._index[label]
 
     def dim(self, label) -> int:
-        return self.dims[self._index[label]]
+        return self._dims[label]
 
     def offset(self, label) -> int:
         return self._offsets[self._index[label]]
@@ -197,8 +198,22 @@ class BlockMap:
 
     @staticmethod
     def transport(src: Grading, dst: Grading, pairs) -> BlockMap:
-        """Index transport: each (dst_label, src_label, coef) a scaled identity block."""
-        return BlockMap(src, dst, {(dl, sl): c for dl, sl, c in pairs})
+        """Index transport: each (dst_label, src_label, coef) a scaled identity block.
+
+        Built directly: a pair touching a label of dimension 0 is dropped, the
+        two labels of every other pair must have equal dims, and a nonzero int
+        coefficient is stored as it is.
+        """
+        ddim, sdim = dst._dims, src._dims
+        blocks = {}
+        for dl, sl, c in pairs:
+            d, e = ddim[dl], sdim[sl]
+            if not (d and e and c):
+                continue
+            if d != e:
+                raise DimensionMismatch("scalar block must join equal dims")
+            blocks[(dl, sl)] = c if type(c) is int else _scalar(c)
+        return BlockMap._raw(src, dst, blocks)
 
     @staticmethod
     def from_dense(src: Grading, dst: Grading, mat: RatMat) -> BlockMap:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import ValidationError
 from .exactla import Fr, RatMat, Subspace
@@ -51,14 +52,26 @@ class MaskBundle(SimpVB):
     def __init__(self, base, L: int, grading_fn, prefix_entry):
         # The closures live on self; a strong reference back would make every
         # bundle a cycle that only the cyclic collector frees.  Faces read each
-        # level's grading off the bundle, so composites share one object.
+        # level's grading off the bundle, which interns them, so composites
+        # share one object and a transport depends only on the level, the
+        # index and the two grading objects: it is built once per such tuple
+        # and handed to every simplex.
         me = weakref.proxy(self)
+        transports: dict = {}
+
+        def transport(table, n, i, src, dst):
+            key = (table, n, i, id(src), id(dst))
+            m = transports.get(key)
+            if m is None:
+                pairs = [(b, a, 1) for b, a in table(n, i)]
+                m = transports[key] = BlockMap.transport(src, dst, pairs)
+            return m
 
         def face(n, i, s):
             src = me.grading(n, s)
             dst = me.grading(n - 1, base.face(s, i))
             if i > 0:
-                return BlockMap.transport(src, dst, [(b, a, 1) for b, a in transport_face_table(n, i)])
+                return transport(transport_face_table, n, i, src, dst)
             blocks = {}
             for beta in zero_mono_masks(n - 1):
                 if dst.dim(beta) == 0:
@@ -78,9 +91,7 @@ class MaskBundle(SimpVB):
         def deg(n, j, s):
             src = me.grading(n, s)
             dst = me.grading(n + 1, base.degeneracy(s, j))
-            return BlockMap.transport(
-                src, dst, [(b, a, 1) for b, a in transport_degeneracy_table(n, j)]
-            )
+            return transport(transport_degeneracy_table, n, j, src, dst)
 
         super().__init__(base, L, grading_fn, face, deg)
 
@@ -169,29 +180,28 @@ def d0_homogeneous_column(R: Ruth, n: int, s: NerveSimplex, alpha_mask: int):
     extension tail; single interior insertions give signed identities.  This
     enumeration never consults the target-indexed tables, so agreement with
     the blockwise path checks the sign conventions from two directions.
+    Only tails up to the longest operator the tower stores can carry a
+    block, and only stored blocks are read.
     """
     G = R.G
+    longest = max((m for m, _ in R.ops), default=0)
     out: dict[int, object] = {}
     elems = mask_to_tuple(alpha_mask)
     k = len(elems) - 1
     top = elems[-1]
     deg = k
-    above = [v for v in range(top + 1, n + 1)]
-    for tmask in range(1 << len(above)):
-        tail_elems = [above[b] for b in range(len(above)) if (tmask >> b) & 1]
-        bp = alpha_mask
-        for v in tail_elems:
-            bp |= 1 << v
-        l = k + len(tail_elems) - 1  # beta:[l] -> [n-1]
-        m = len(tail_elems)
-        tail_verts = (top,) + tuple(tail_elems)
-        h = G.restrict_vertices(s, tail_verts)
-        mat = R.block(m, h, deg)
-        if mat.is_zero():
-            continue
+    above = range(top + 1, n + 1)
+    for m in range(min(longest, len(above)) + 1):
+        l = k + m - 1  # beta:[l] -> [n-1]
         sign = -1 if l % 2 else 1
-        beta = (bp & ~1) >> 1  # unprime
-        out[beta] = mat.scale(sign)
+        for tail in combinations(above, m):
+            mat = R.ops.get((m, G.restrict_vertices(s, (top,) + tail)), {}).get(deg)
+            if mat is None:
+                continue
+            bp = alpha_mask
+            for v in tail:
+                bp |= 1 << v
+            out[(bp & ~1) >> 1] = mat if sign == 1 else -mat  # unprime
     for v in range(1, top):
         if (alpha_mask >> v) & 1:
             continue
@@ -387,8 +397,6 @@ def _first_d0_identity_failure(B: SimpVB):
 
 
 def _contains_subsimplex(G: FinGroupoid, s: NerveSimplex, target: NerveSimplex) -> bool:
-    from itertools import combinations
-
     n, m = s.level, target.level
     if m > n:
         return False

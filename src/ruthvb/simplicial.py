@@ -3,6 +3,13 @@
 Every helper takes a SimpVB and walks its base through base.nerve_level,
 base.face and base.degeneracy.  Simplicial vector spaces are bundles over
 POINT, whose single simplex per level is None.  All checks are exact.
+
+Facts that read structure maps alone are memoized by the identity of those
+maps: an identity verdict per tuple of composed maps, a face kernel per
+tuple of face maps, and the elimination of a horn system's positive-face
+pairs per tuple of maps and slot gradings.  Where a bundle hands several
+simplices the same map object (one transport per pair of gradings), they
+share one computation; where it does not, each simplex pays as before.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import Subspace, sparse_kernel_basis, sparse_rank
+from .exactla import Subspace, _back_substitute, _sparse_eliminate, sparse_kernel_basis
 from .graded import BlockMap, Grading
 
 
@@ -33,9 +40,26 @@ class IdentityReport:
 
 
 def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
-    """Exhaustively check all face/degeneracy identities up to the truncation."""
+    """Exhaustively check all face/degeneracy identities up to the truncation.
+
+    An identity is decided once per tuple of the maps it composes, keyed by
+    their ids: the bundle keeps every face and degeneracy it hands out, so
+    no id is reused while it lives.  Where simplices share their structure
+    maps (one transport per grading pair), a verdict is read back for every
+    simplex it covers, and a failing one is still recorded at each.
+    """
     report = IdentityReport()
     levels = range(fc.L + 1) if levels is None else levels
+    verdicts: dict = {}
+    idents: dict = {}  # one identity map per grading object, alive for the sweep
+
+    def holds(a, b, c, d):
+        """a∘b == c∘d, or a∘b == c when d is None."""
+        key = (id(a), id(b), id(c), id(d))
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = verdicts[key] = a.compose(b) == (c if d is None else c.compose(d))
+        return ok
 
     def record(name, n, key, idx):
         if len(report.violations) < 10:
@@ -49,31 +73,29 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
                 fkeys = {i: fc.base.face(key, i) for i in range(n + 1)}
                 for j in range(1, n + 1):
                     for i in range(j):
-                        lhs = fc.face(n - 1, i, fkeys[j]).compose(faces[j])
-                        rhs = fc.face(n - 1, j - 1, fkeys[i]).compose(faces[i])
                         report.checked += 1
-                        if lhs != rhs:
+                        if not holds(fc.face(n - 1, i, fkeys[j]), faces[j],
+                                     fc.face(n - 1, j - 1, fkeys[i]), faces[i]):
                             record("d_i d_j = d_{j-1} d_i", n, key, (i, j))
             # d_i u_j, needs level n+1 <= L
             if n + 1 <= fc.L:
                 degs = {j: fc.deg(n, j, key) for j in range(n + 1)}
                 dkeys = {j: fc.base.degeneracy(key, j) for j in range(n + 1)}
-                ident = BlockMap.identity(fc.grading(n, key))
+                g = fc.grading(n, key)
+                ident = idents.get(id(g))
+                if ident is None:
+                    ident = idents[id(g)] = BlockMap.identity(g)
                 for j in range(n + 1):
                     for i in range(n + 2):
-                        lhs = fc.face(n + 1, i, dkeys[j]).compose(degs[j])
+                        lhs = fc.face(n + 1, i, dkeys[j])
                         if i == j or i == j + 1:
-                            rhs = ident
+                            c, d = ident, None
                         elif i < j:
-                            rhs = fc.deg(n - 1, j - 1, fc.base.face(key, i)).compose(
-                                fc.face(n, i, key)
-                            )
+                            c, d = fc.deg(n - 1, j - 1, fc.base.face(key, i)), fc.face(n, i, key)
                         else:
-                            rhs = fc.deg(n - 1, j, fc.base.face(key, i - 1)).compose(
-                                fc.face(n, i - 1, key)
-                            )
+                            c, d = fc.deg(n - 1, j, fc.base.face(key, i - 1)), fc.face(n, i - 1, key)
                         report.checked += 1
-                        if lhs != rhs:
+                        if not holds(lhs, degs[j], c, d):
                             record("d_i u_j", n, key, (i, j))
             # u_i u_j = u_{j+1} u_i (i <= j), needs level n+2 <= L
             if n + 2 <= fc.L:
@@ -81,12 +103,10 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
                     uj = fc.deg(n, j, key)
                     kj = fc.base.degeneracy(key, j)
                     for i in range(j + 1):
-                        lhs = fc.deg(n + 1, i, kj).compose(uj)
-                        rhs = fc.deg(n + 1, j + 1, fc.base.degeneracy(key, i)).compose(
-                            fc.deg(n, i, key)
-                        )
                         report.checked += 1
-                        if lhs != rhs:
+                        if not holds(fc.deg(n + 1, i, kj), uj,
+                                     fc.deg(n + 1, j + 1, fc.base.degeneracy(key, i)),
+                                     fc.deg(n, i, key)):
                             record("u_i u_j = u_{j+1} u_i", n, key, (i, j))
     return report
 
@@ -100,23 +120,50 @@ def face_kernel(fc, n: int, key, face_indices) -> Subspace:
     """∩ ker d_i over the given face indices, inside fiber(n, key).
 
     Computed once per bundle and face set; every caller gets the same
-    (immutable) Subspace.
+    (immutable) Subspace.  Behind that table sits one keyed by the fiber's
+    grading and the face maps themselves, so simplices that share their
+    maps (every positive face of a uniform bundle) share one elimination.
     """
     memo = (n, key, tuple(face_indices))
     sub = fc._kernels.get(memo)
     if sub is None:
         g = fc.grading(n, key)
-        rows = []
-        for i in memo[2]:
-            rows.extend(fc.face(n, i, key).sparse_rows())
-        basis = sparse_kernel_basis([r for r in rows if r], g.total)
-        sub = fc._kernels[memo] = Subspace.span(g.total, basis)
+        maps = [fc.face(n, i, key) for i in memo[2]]
+        shared = (n, id(g), *map(id, maps))
+        sub = fc._kernels_by_maps.get(shared)
+        if sub is None:
+            rows = []
+            for m in maps:
+                rows.extend(m.sparse_rows())
+            basis = sparse_kernel_basis([r for r in rows if r], g.total)
+            sub = fc._kernels_by_maps[shared] = Subspace.span(g.total, basis)
+        fc._kernels[memo] = sub
     return sub
+
+
+class HornPairs:
+    """Rows of the matching equations of the pairs 1 <= i < j of a horn.
+
+    Both sides of such a pair are positive faces, so the rows depend only on
+    those maps and the slot gradings, and every horn system with the same
+    ones shares this object.  pivots is their back-substituted elimination,
+    filled by horn_dim on first use and never edited after.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.pivots = None
 
 
 @dataclass
 class HornSystem:
-    """The matching-equation system cutting the (n,k)-horn space out of a product."""
+    """The matching-equation system cutting the (n,k)-horn space out of a product.
+
+    Its rows are the shared rows of the pairs 1 <= i < j followed by the rows
+    of the pairs through slot 0, which are built for this simplex alone.
+    """
 
     n: int
     k: int
@@ -125,51 +172,74 @@ class HornSystem:
     slot_gradings: tuple[Grading, ...]
     offsets: tuple[int, ...]
     total: int
-    rows: list[dict[int, Fraction]]
+    positive: HornPairs
+    own: list[dict[int, Fraction]]
+
+    @property
+    def rows(self) -> list[dict[int, Fraction]]:
+        return self.positive.rows + self.own
+
+
+def _pair_rows(pairs) -> list[dict[int, Fraction]]:
+    """Rows of d_i(v_j) = d_{j-1}(v_i), one pair given as (offset of v_j, offset of v_i, d_i, d_{j-1})."""
+    rows: list[dict[int, Fraction]] = []
+    for oj, oi, fa, fb in pairs:
+        for ra, rb in zip(fa.sparse_rows(), fb.sparse_rows()):
+            row = {oj + c: v for c, v in ra.items()}
+            for c, v in rb.items():
+                cc = oi + c
+                nv = row.get(cc, 0) - v
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+            if row:
+                rows.append(row)
+    return rows
 
 
 def horn_system(fc, n: int, k: int, key) -> HornSystem:
     slots = tuple(j for j in range(n + 1) if j != k)
-    gradings = tuple(fc.grading(n - 1, fc.base.face(key, j)) for j in slots)
+    fkeys = {j: fc.base.face(key, j) for j in slots}
+    gradings = tuple(fc.grading(n - 1, fkeys[j]) for j in slots)
     offsets = []
     t = 0
     for g in gradings:
         offsets.append(t)
         t += g.total
-    slot_pos = {j: p for p, j in enumerate(slots)}
-    rows: list[dict[int, Fraction]] = []
+    offset = dict(zip(slots, offsets))
+    positive, own = [], []
     if n >= 2:
         for j in slots:
-            kj = fc.base.face(key, j)
             for i in slots:
                 if i >= j:
                     continue
                 # d_i(v_j) = d_{j-1}(v_i)
-                a = fc.face(n - 1, i, kj).sparse_rows()
-                b = fc.face(n - 1, j - 1, fc.base.face(key, i)).sparse_rows()
-                oj = offsets[slot_pos[j]]
-                oi = offsets[slot_pos[i]]
-                for ra, rb in zip(a, b):
-                    row = {oj + c: v for c, v in ra.items()}
-                    for c, v in rb.items():
-                        cc = oi + c
-                        nv = row.get(cc, 0) - v
-                        if nv:
-                            row[cc] = nv
-                        else:
-                            row.pop(cc, None)
-                    if row:
-                        rows.append(row)
-    return HornSystem(n, k, key, slots, gradings, tuple(offsets), t, rows)
+                pair = (offset[j], offset[i], fc.face(n - 1, i, fkeys[j]),
+                        fc.face(n - 1, j - 1, fkeys[i]))
+                (positive if i else own).append(pair)
+    shared = (n, k, *map(id, gradings), *(id(m) for p in positive for m in p[2:]))
+    pairs = fc._horn_pairs.get(shared)
+    if pairs is None:
+        pairs = fc._horn_pairs[shared] = HornPairs(_pair_rows(positive))
+    return HornSystem(n, k, key, slots, gradings, tuple(offsets), t, pairs, _pair_rows(own))
 
 
 def horn_dim(fc, n: int, k: int, key) -> int:
-    """Dimension of the (n,k)-horn space over key; computed once per bundle."""
+    """Dimension of the (n,k)-horn space over key; computed once per bundle.
+
+    The shared rows of the pairs 1 <= i < j are eliminated and
+    back-substituted once; the rows through slot 0 are reduced on top.
+    """
     memo = (n, k, key)
     d = fc._horn_dims.get(memo)
     if d is None:
         hs = horn_system(fc, n, k, key)
-        d = fc._horn_dims[memo] = hs.total - sparse_rank(hs.rows, hs.total)
+        pairs = hs.positive
+        if pairs.pivots is None:
+            pairs.pivots = _back_substitute(_sparse_eliminate(pairs.rows))
+        rank = len(_sparse_eliminate(hs.own, pairs.pivots)) if hs.own else len(pairs.pivots)
+        d = fc._horn_dims[memo] = hs.total - rank
     return d
 
 

@@ -8,6 +8,8 @@ fiber: the conditions quantify over infinitely many vectors but are linear,
 so exact linear algebra settles them.  That one observation is what makes the
 whole checker suite terminate.  Bundles are immutable after construction;
 checks parallelize over fibers in principle and only share write-once caches.
+A bundle interns its gradings and keeps every face and degeneracy it hands
+out, so the identity of a map can key the horn facts of simplicial.py.
 """
 
 from __future__ import annotations
@@ -44,17 +46,24 @@ class SimpVB:
         self._face_fn = face_fn
         self._deg_fn = deg_fn
         self._gradings: dict = {}
+        self._interned: dict = {}  # one Grading object per distinct value
         self._faces: dict = {}
         self._degs: dict = {}
-        # write-once horn facts, filled only by simplicial.face_kernel and horn_dim
+        # write-once horn facts, filled only by simplicial.face_kernel,
+        # horn_system and horn_dim; the *_by_maps tables are keyed by the id()s
+        # of gradings and maps that the tables above keep alive as long as self
         self._kernels: dict = {}
+        self._kernels_by_maps: dict = {}
         self._horn_dims: dict = {}
+        self._horn_pairs: dict = {}
 
     def grading(self, n: int, s: NerveSimplex | None = None) -> Grading:
+        """The fiber grading over s, interned: equal gradings are one object."""
         key = (n, s)
         g = self._gradings.get(key)
         if g is None:
-            g = self._gradings[key] = self._grading_fn(n, s)
+            g = self._grading_fn(n, s)
+            g = self._gradings[key] = self._interned.setdefault(g, g)
         return g
 
     def face(self, n: int, i: int, s: NerveSimplex | None = None) -> BlockMap:

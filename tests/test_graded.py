@@ -90,6 +90,23 @@ def test_transport_and_sparse_rows():
     assert rows[dst.offset(1)] == {src.offset(0): Fr(1)}
 
 
+def test_transport_built_directly():
+    """Zero-dimensional labels drop out, ints are stored as they are, and the
+    result equals the validating constructor's."""
+    src = Grading((0, 1, 2), (1, 0, 2))
+    dst = Grading((5, 6, 7), (2, 1, 0))
+    pairs = [(5, 2, 1), (6, 0, -1), (7, 1, 1), (6, 1, 3), (7, 0, 1), (5, 0, 0)]
+    t = BlockMap.transport(src, dst, pairs)
+    assert t.blocks == {(5, 2): 1, (6, 0): -1}
+    assert all(type(e) is int for e in t.blocks.values())
+    assert t == BlockMap(src, dst, {(dl, sl): c for dl, sl, c in pairs})
+    assert BlockMap.transport(src, dst, [(5, 2, Fr(4, 2))]).blocks == {(5, 2): 2}
+    assert type(BlockMap.transport(src, dst, [(5, 2, Fr(4, 2))]).blocks[(5, 2)]) is int
+    assert BlockMap.transport(src, dst, [(6, 0, Fr(1, 2))]).blocks == {(6, 0): Fr(1, 2)}
+    with pytest.raises(DimensionMismatch):
+        BlockMap.transport(src, dst, [(6, 2, 1)])  # a 1-dim label against a 2-dim one
+
+
 def test_zero_dim_blocks_dropped():
     src = Grading((0, 1), (0, 2))
     dst = Grading((0,), (2,))

@@ -13,7 +13,9 @@ from ruthvb.errors import ValidationError
 from ruthvb.exactla import RatMat
 from ruthvb.graded import BlockMap
 from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
+from ruthvb.ordmaps import d0_row
 from ruthvb.ruth import (
+    Ruth,
     chain_complex_ruth,
     compose_morphisms,
     gauge_twist,
@@ -73,6 +75,42 @@ def test_verify_sdp_full_contract():
     ver = verify_sdp(B)
     assert ver.ok and ver.order == 1
     assert d0_paths_agree(B)
+
+
+def _negate_d0_block(B, m):
+    """Negate, in B's cached d_0, one block fed by an operator of length m.
+
+    Returns the (level, simplex) it was changed at.
+    """
+    for n in range(m + 1, B.L + 1):
+        for s in B.base.nerve_level(n):
+            f = B.face(n, 0, s)
+            for beta, alpha in f.blocks:
+                if any(t.case == "I" and t.m == m and t.source_mask == alpha
+                       for t in d0_row(beta, n)):
+                    blocks = dict(f.blocks)
+                    blocks[beta, alpha] = -blocks[beta, alpha]
+                    B._faces[n, 0, s] = BlockMap(f.src, f.dst, blocks)
+                    return n, s
+    raise AssertionError(f"no d_0 block of an operator of length {m}")
+
+
+@pytest.mark.parametrize("m_cap", [None, 2])
+def test_d0_oracle_detects_negated_block(m_cap):
+    """The source-indexed d_0 must see one block negated at one simplex,
+    including a block of the longest operator, here also at m = m_cap."""
+    _, R = twisted(63)
+    if m_cap is not None:
+        R = Ruth(R.E, R.ops, m_cap=m_cap)
+    longest = max(m for m, _ in R.ops)
+    assert longest == 2 and (m_cap is None or longest == R.m_cap)
+    for m in (1, longest):
+        B = build_sdp(R, 4, validate=False)
+        assert d0_paths_agree(B)
+        n, s = _negate_d0_block(B, m)
+        assert not d0_paths_agree(B)
+        assert not d0_paths_agree(B, levels=[n])
+        assert d0_paths_agree(B, levels=[k for k in range(1, B.L + 1) if k != n])
 
 
 def test_unit_groupoid_matches_flipped_inverse():

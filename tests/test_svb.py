@@ -5,17 +5,30 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_gauge, random_strict_ruth
+from conftest import _staircase_boundary, random_gauge, random_strict_ruth
 from ruthvb.documents import canonical_dumps
 from ruthvb.doldkan import ChainComplex, dk
-from ruthvb.exactla import RatMat, Subspace, kernel
+from ruthvb.exactla import RatMat, Subspace, kernel, sparse_rank
 from ruthvb.graded import BlockMap
-from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
-from ruthvb.ruth import gauge_twist, representation_ruth, twisted_ruth_direct
+from ruthvb.groupoid import builtin_groupoids, cyclic_group, pair_groupoid, unit_groupoid
+from ruthvb.ruth import (
+    GradedBundle,
+    gauge_twist,
+    representation_ruth,
+    strict_ruth,
+    twisted_ruth_direct,
+)
 from ruthvb.sdp import build_sdp, example_not_full, translation_svb, twisted_cleavage, verify_sdp
-from ruthvb.simplicial import face_kernel, horn_map_dense, verify_simplicial_identities
+from ruthvb.simplicial import (
+    face_kernel,
+    horn_dim,
+    horn_map_dense,
+    horn_system,
+    verify_simplicial_identities,
+)
 from ruthvb.svb import (
     BundleMap,
+    SimpVB,
     _face_closures,
     check_cleavage,
     check_fibration,
@@ -495,3 +508,157 @@ def test_horn_facts_computed_once(monkeypatch):
             for s in V.base.nerve_level(n):
                 for k in range(n + 1):
                     assert relative_horn_kernel(V, n, k, s) == kernel(horn_map_dense(V, n, k, s))
+
+
+# ---------------------------------------------------------------------------
+# Shared structure maps: one transport per grading pair, facts keyed by maps.
+# ---------------------------------------------------------------------------
+
+
+def _nonuniform_tower(seed):
+    """A twisted order-one tower over unit(2) whose two objects have different dims."""
+    rng = random.Random(seed)
+    G = unit_groupoid(2)
+    dims = {0: (1, 1), 1: (2, 1)}
+    E = GradedBundle(G, dims)
+    diff = {x: _staircase_boundary(rng, list(d)) for x, d in dims.items()}
+    arrows = {g: {k: RatMat.identity(E.dim(G.arrow_src[g], k)) for k in E.degrees()}
+              for g in range(G.n_arrows)}
+    return twisted_ruth_direct(strict_ruth(E, diff, arrows), random_gauge(E, rng))
+
+
+def _reference_horn_dim(V, n, k, s):
+    """Horn-space dimension from the dense faces: slot product minus matching rank."""
+    slots = [j for j in range(n + 1) if j != k]
+    dims = [V.fiber_dim(n - 1, V.base.face(s, j)) for j in slots]
+    off = {j: sum(dims[:p]) for p, j in enumerate(slots)}
+    total = sum(dims)
+    rows = []
+    for p, j in enumerate(slots):
+        for i in slots[:p]:
+            a = V.face(n - 1, i, V.base.face(s, j)).to_dense()
+            b = V.face(n - 1, j - 1, V.base.face(s, i)).to_dense()
+            for r in range(a.rows):
+                row = [Fr(0)] * total
+                row[off[j]:off[j] + a.cols] = a.data[r]
+                for c, x in enumerate(b.data[r]):
+                    row[off[i] + c] -= x
+                rows.append(row)
+    return total - (RatMat.from_rows(rows, total).rank() if rows else 0)
+
+
+def _assert_horn_gate(V, levels):
+    for n in levels:
+        for s in V.base.nerve_level(n):
+            for k in range(n + 1):
+                hs = horn_system(V, n, k, s)
+                d = horn_dim(V, n, k, s)
+                assert d == hs.total - sparse_rank(hs.rows, hs.total)
+                assert d == _reference_horn_dim(V, n, k, s), (n, k, s)
+
+
+GATE_BASES = sorted(builtin_groupoids())
+
+
+def _gate_bundle(name):
+    if name == "unit(2)-nonuniform":
+        return build_sdp(_nonuniform_tower(8), 5, validate=False)
+    if name == "pair(2)-perturbed-R2":
+        return _horn_law_bundle(name)
+    return build_sdp(_twisted_tower(builtin_groupoids()[name], (1, 1), 7), 3, validate=False)
+
+
+@pytest.mark.parametrize("name", GATE_BASES + ["unit(2)-nonuniform", "pair(2)-perturbed-R2"])
+def test_horn_dim_equality_gate(name):
+    """horn_dim, which reduces each simplex's slot-0 rows on top of shared
+    positive-pair pivots, equals the rank of the whole system and the dense
+    reference on every horn system: all seven built-in bases, non-uniform
+    dims per object, and a bundle that fails the simplicial identities."""
+    V = _gate_bundle(name)
+    _assert_horn_gate(V, range(1, V.L + 1))
+
+
+def test_structure_maps_shared_per_grading():
+    """Equal gradings are one object, and so is every positive face and
+    degeneracy between the same two gradings; non-uniform dims keep apart."""
+    B = build_sdp(_twisted_tower(pair_groupoid(2), (1, 1), 42), 4)
+    for n in range(B.L + 1):
+        level = B.base.nerve_level(n)
+        assert len({id(B.grading(n, s)) for s in level}) == 1
+        for i in range(1, n + 1):
+            assert len({id(B.face(n, i, s)) for s in level}) == 1
+        if n < B.L:
+            for j in range(n + 1):
+                assert len({id(B.deg(n, j, s)) for s in level}) == 1
+    level = B.base.nerve_level(3)
+    assert horn_system(B, 3, 0, level[0]).positive is horn_system(B, 3, 0, level[-1]).positive
+    assert relative_horn_kernel(B, 3, 0, level[0]) is relative_horn_kernel(B, 3, 0, level[-1])
+    V = build_sdp(_nonuniform_tower(8), 3, validate=False)
+    for n in range(1, V.L + 1):
+        x, y = (V.base.unit_simplex(o, n) for o in range(2))
+        assert V.grading(n, x) != V.grading(n, y)
+        assert V.face(n, 1, x) is not V.face(n, 1, y)
+        assert horn_system(V, n, 0, x).positive is not horn_system(V, n, 0, y).positive
+
+
+def _copied(m):
+    """An equal map that is a distinct object."""
+    return BlockMap._raw(m.src, m.dst, dict(m.blocks))
+
+
+def test_perturbed_shared_face_reported_at_its_simplex():
+    """One simplex gets a perturbed copy of a positive face that every other
+    simplex shares.  Identity verdicts, fibration and horn dimensions equal
+    those of a bundle in which no two simplices share a map object."""
+    B = build_sdp(_twisted_tower(pair_groupoid(2), (1, 1), 42), 4)
+    G = B.base
+    s0 = G.nerve_level(2)[5]
+    shared = B.face(2, 1, s0)
+    moved = shared + BlockMap.transport(shared.src, shared.dst, [(*next(iter(shared.blocks)), Fr(1, 2))])
+
+    def face(n, i, s):
+        return moved if (n, i, s) == (2, 1, s0) else B.face(n, i, s)
+
+    V = SimpVB(G, B.L, B.grading, face, B.deg)
+    U = SimpVB(G, B.L, B.grading, lambda n, i, s: _copied(face(n, i, s)),
+               lambda n, j, s: _copied(B.deg(n, j, s)))
+    assert sum(V.face(2, 1, s) is shared for s in G.nerve_level(2)) == len(G.nerve_level(2)) - 1
+
+    def involves_s0(v):
+        if v.level == 2:
+            return v.key == s0
+        if v.level == 3:
+            return s0 in {G.face(v.key, j) for j in range(4)}
+        return v.level == 1 and s0 in {G.degeneracy(v.key, j) for j in range(2)}
+
+    found = 0
+    for n in range(B.L + 1):
+        got = verify_simplicial_identities(V, levels=[n])
+        assert got == verify_simplicial_identities(U, levels=[n])
+        assert len(got.violations) < 10  # under the report's cap: the list is complete
+        assert all(involves_s0(v) for v in got.violations)
+        found += len(got.violations)
+    assert found
+    assert verify_simplicial_identities(B).ok
+    assert dataclasses.asdict(check_fibration(V)) == dataclasses.asdict(check_fibration(U))
+    _assert_horn_gate(V, range(1, V.L + 1))
+    for n in range(1, V.L + 1):
+        for s in G.nerve_level(n):
+            for k in range(n + 1):
+                assert relative_horn_kernel(V, n, k, s) == relative_horn_kernel(U, n, k, s)
+
+
+@pytest.mark.parametrize("name", ["Z/2", "unit(2)"])
+def test_kernels_and_horns_depend_on_k(name):
+    """On these bases some relative-horn kernels change with k (on pair(2)
+    they do not), so a memo that confused face sets would show here."""
+    V = _horn_law_bundle(name)
+    differ = 0
+    for n in range(1, 4):
+        for s in V.base.nerve_level(n):
+            kers = [relative_horn_kernel(V, n, k, s) for k in range(n + 1)]
+            differ += len(set(kers)) > 1
+            for k in range(n + 1):
+                assert kers[k] == kernel(horn_map_dense(V, n, k, s))
+                assert horn_dim(V, n, k, s) == _reference_horn_dim(V, n, k, s)
+    assert differ
