@@ -222,10 +222,17 @@ def ruth_from_doc(doc: dict) -> Ruth:
         for entry in doc.get("operators", []):
             # a negative index would wrap around, a bool would index as 0 or 1
             m = _count(entry["m"], "operator m")
-            s = G.nerve_level(m)[_count(entry["simplex"], "operator simplex")]
-            table = ops.setdefault((m, s), {})
-            table[_count(entry["degree"], "operator degree")] = mat_from_json(
-                entry["matrix"], f"operator m={m}")
+            index = _count(entry["simplex"], "operator simplex")
+            degree = _count(entry["degree"], "operator degree")
+            # checked before the nerve is enumerated, whose size grows
+            # exponentially in m: no block above the top degree has rows
+            if degree + m - 1 > E.N:
+                raise ValueError(f"operator m={m}, degree {degree} targets degree "
+                                 f"{degree + m - 1}, above the top degree {E.N}")
+            table = ops.setdefault((m, G.nerve_level(m)[index]), {})
+            if degree in table:
+                raise ValueError(f"operator m={m}, simplex {index}, degree {degree} is given twice")
+            table[degree] = mat_from_json(entry["matrix"], f"operator m={m}")
         m_cap = doc.get("mcap")
         if m_cap is not None:
             _count(m_cap, "mcap")

@@ -23,6 +23,13 @@ class NerveSimplex:
     x0: int
     arrows: tuple[int, ...]
 
+    def __init__(self, x0: int, arrows: tuple[int, ...]):
+        # every bundle table is keyed by simplices: hash the fields once, here
+        self.__dict__.update(x0=x0, arrows=arrows, _hash=hash((x0, arrows)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def level(self) -> int:
         return len(self.arrows)

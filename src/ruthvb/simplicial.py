@@ -10,6 +10,9 @@ tuple of face maps, and the elimination of a horn system's positive-face
 pairs per tuple of maps and slot gradings.  Where a bundle hands several
 simplices the same map object (one transport per pair of gradings), they
 share one computation; where it does not, each simplex pays as before.
+
+Horn dimensions are certified between two kernel counts (see horn_dim);
+a horn system is built and eliminated only where the counts disagree.
 """
 
 from __future__ import annotations
@@ -46,7 +49,10 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
     their ids: the bundle keeps every face and degeneracy it hands out, so
     no id is reused while it lives.  Where simplices share their structure
     maps (one transport per grading pair), a verdict is read back for every
-    simplex it covers, and a failing one is still recorded at each.
+    simplex it covers, and a failing one is still recorded at each.  The
+    d_i d_j verdicts and the per-simplex "all face pairs commute" flag go to
+    the bundle (see _face_pairs), where horn_dim reads them; the d_i u_j and
+    u_i u_j verdicts key on this sweep's own identity maps and stay local.
     """
     report = IdentityReport()
     levels = range(fc.L + 1) if levels is None else levels
@@ -69,14 +75,13 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
         for key in fc.base.nerve_level(n):
             # d_i d_j = d_{j-1} d_i  (i < j), needs n >= 2
             if n >= 2:
-                faces = {i: fc.face(n, i, key) for i in range(n + 1)}
-                fkeys = {i: fc.base.face(key, i) for i in range(n + 1)}
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        report.checked += 1
-                        if not holds(fc.face(n - 1, i, fkeys[j]), faces[j],
-                                     fc.face(n - 1, j - 1, fkeys[i]), faces[i]):
-                            record("d_i d_j = d_{j-1} d_i", n, key, (i, j))
+                commute = True
+                for i, j, ok in _face_pairs(fc, n, key):
+                    report.checked += 1
+                    if not ok:
+                        commute = False
+                        record("d_i d_j = d_{j-1} d_i", n, key, (i, j))
+                fc._faces_commute[n, key] = commute
             # d_i u_j, needs level n+1 <= L
             if n + 1 <= fc.L:
                 degs = {j: fc.deg(n, j, key) for j in range(n + 1)}
@@ -109,6 +114,38 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
                                      fc.deg(n, i, key)):
                             record("u_i u_j = u_{j+1} u_i", n, key, (i, j))
     return report
+
+
+def _face_pairs(fc, n: int, key):
+    """(i, j, d_i d_j == d_{j-1} d_i) over key, for 0 <= i < j <= n.
+
+    Each verdict is decided once per bundle and kept in its write-once
+    table, keyed by the ids of the four face maps, which the bundle's face
+    table keeps alive.
+    """
+    faces = [fc.face(n, i, key) for i in range(n + 1)]
+    fkeys = [fc.base.face(key, i) for i in range(n + 1)]
+    verdicts = fc._pair_verdicts
+    for j in range(1, n + 1):
+        for i in range(j):
+            a, c = fc.face(n - 1, i, fkeys[j]), fc.face(n - 1, j - 1, fkeys[i])
+            memo = (id(a), id(faces[j]), id(c), id(faces[i]))
+            ok = verdicts.get(memo)
+            if ok is None:
+                ok = verdicts[memo] = a.compose(faces[j]) == c.compose(faces[i])
+            yield i, j, ok
+
+
+def faces_commute(fc, n: int, key) -> bool:
+    """Whether d_i d_j = d_{j-1} d_i holds for every pair i < j over key at level n.
+
+    Read off the identity sweep when it has run over key; otherwise decided
+    here through the same shared verdicts and stored.
+    """
+    ok = fc._faces_commute.get((n, key))
+    if ok is None:
+        ok = fc._faces_commute[n, key] = all(ok for _, _, ok in _face_pairs(fc, n, key))
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +262,66 @@ def horn_system(fc, n: int, k: int, key) -> HornSystem:
     return HornSystem(n, k, key, slots, gradings, tuple(offsets), t, pairs, _pair_rows(own))
 
 
+def horn_bounds(fc, n: int, k: int, key) -> tuple[int | None, int]:
+    """(lower, upper) bounds of the (n,k)-horn dimension over key, from face kernels.
+
+    upper = Σ dim K_j over the slots j != k, where K_j is the intersection of
+    ker d_{e-1} over the slots e > j, inside the fiber over d_j(key).
+    lower = rank h_k = dim V_n - dim ker h_k, or None unless every face pair
+    commutes over key.  horn_dim states why lower <= horn dim <= upper.
+    """
+    upper = 0
+    for j in range(n, -1, -1):
+        if j == k:
+            continue
+        fkey = fc.base.face(key, j)
+        faces = [e - 1 for e in range(j + 1, n + 1) if e != k]
+        upper += face_kernel(fc, n - 1, fkey, faces).dim if faces else fc.fiber_dim(n - 1, fkey)
+    lower = None
+    if faces_commute(fc, n, key):
+        lower = fc.fiber_dim(n, key) - face_kernel(fc, n, key, [i for i in range(n + 1) if i != k]).dim
+    return lower, upper
+
+
 def horn_dim(fc, n: int, k: int, key) -> int:
     """Dimension of the (n,k)-horn space over key; computed once per bundle.
 
-    The shared rows of the pairs 1 <= i < j are eliminated and
-    back-substituted once; the rows through slot 0 are reduced on top.
+    For n >= 2 it is certified between two kernel counts (horn_bounds):
+
+    - upper: take the slots j != k from the top down.  Forgetting the last
+      slot taken is a linear map between the horn's images in the slots
+      taken so far, and its kernel is the tuples that vanish except at
+      slot j; the matching equations d_j v_e = d_{e-1} v_j with the slots
+      e > j then say d_{e-1} v_j = 0, so that kernel lies in K_j and
+      dim Λ^n_k <= Σ dim K_j, for any maps.  Every K_j with j >= 1 is a
+      positive-face kernel, shared per grading by face_kernel; K_0 is the
+      (n-1, k-1)-relative horn kernel over d_0(key), and the first slot's
+      K_j is its whole fiber.
+    - lower: when d_i d_j = d_{j-1} d_i holds for every pair over key, the
+      horn map h_k = (d_j)_{j != k} lands in the horn space, so its rank,
+      dim V_n - dim ker h_k, is at most dim Λ^n_k.
+
+    When every face pair commutes and the two counts agree, both equal
+    dim Λ^n_k.
+    Otherwise (a failed identity, a horn that h_k does not fill, and n = 1,
+    whose system has no rows) the matching system is eliminated: the shared
+    rows of the pairs 1 <= i < j once, back-substituted, and the rows
+    through slot 0 reduced on top.
     """
     memo = (n, k, key)
     d = fc._horn_dims.get(memo)
     if d is None:
-        hs = horn_system(fc, n, k, key)
-        pairs = hs.positive
-        if pairs.pivots is None:
-            pairs.pivots = _back_substitute(_sparse_eliminate(pairs.rows))
-        rank = len(_sparse_eliminate(hs.own, pairs.pivots)) if hs.own else len(pairs.pivots)
-        d = fc._horn_dims[memo] = hs.total - rank
+        lower, upper = horn_bounds(fc, n, k, key) if n >= 2 else (None, None)
+        if lower is not None and lower == upper:
+            d = upper
+        else:
+            hs = horn_system(fc, n, k, key)
+            pairs = hs.positive
+            if pairs.pivots is None:
+                pairs.pivots = _back_substitute(_sparse_eliminate(pairs.rows))
+            rank = len(_sparse_eliminate(hs.own, pairs.pivots)) if hs.own else len(pairs.pivots)
+            d = hs.total - rank
+        fc._horn_dims[memo] = d
     return d
 
 

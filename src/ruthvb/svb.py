@@ -49,13 +49,17 @@ class SimpVB:
         self._interned: dict = {}  # one Grading object per distinct value
         self._faces: dict = {}
         self._degs: dict = {}
-        # write-once horn facts, filled only by simplicial.face_kernel,
-        # horn_system and horn_dim; the *_by_maps tables are keyed by the id()s
-        # of gradings and maps that the tables above keep alive as long as self
+        # write-once horn facts, filled only by simplicial.py: face_kernel,
+        # horn_system, horn_dim and the face-pair verdicts of the identity
+        # sweep; the *_by_maps, _horn_pairs and _pair_verdicts tables are keyed
+        # by the id()s of gradings and maps that the tables above keep alive
+        # as long as self
         self._kernels: dict = {}
         self._kernels_by_maps: dict = {}
         self._horn_dims: dict = {}
         self._horn_pairs: dict = {}
+        self._pair_verdicts: dict = {}
+        self._faces_commute: dict = {}  # (n, s) -> every d_i d_j = d_{j-1} d_i holds
 
     def grading(self, n: int, s: NerveSimplex | None = None) -> Grading:
         """The fiber grading over s, interned: equal gradings are one object."""

@@ -181,6 +181,18 @@ def _simplex_out_of_range(svb, cleavage, ruth):
     return ["validate", "ruth", "ruth.json"]
 
 
+def _operator_above_top_degree(svb, cleavage, ruth):
+    # degree + m - 1 lies above the top degree: rejected before level 99 of
+    # the nerve, with 2^100 simplices on pair(2), is enumerated
+    ruth["operators"][0]["m"] = 99
+    return ["validate", "ruth", "ruth.json"]
+
+
+def _duplicate_operator_entry(svb, cleavage, ruth):
+    ruth["operators"].append(dict(ruth["operators"][0]))  # the last copy won silently
+    return ["validate", "ruth", "ruth.json"]
+
+
 def _extra_cleavage_fiber(svb, cleavage, ruth):
     cleavage["fibers"]["1"].append(cleavage["fibers"]["1"][0])
     return ["validate", "cleavage", "cleavage.json", "--svb", "svb.json"]
@@ -388,6 +400,7 @@ def _face_entry_bool(svb, cleavage, ruth):
 
 
 @pytest.mark.parametrize("corrupt", [_drop_L, _drop_fibers, _simplex_out_of_range,
+                                     _operator_above_top_degree, _duplicate_operator_entry,
                                      _extra_cleavage_fiber, _negative_simplex,
                                      _unit_out_of_range, _negative_unit, _inverse_out_of_range,
                                      _negative_inverse, _composite_out_of_range,

@@ -21,6 +21,7 @@ from ruthvb.ruth import (
 from ruthvb.sdp import build_sdp, example_not_full, translation_svb, twisted_cleavage, verify_sdp
 from ruthvb.simplicial import (
     face_kernel,
+    horn_bounds,
     horn_dim,
     horn_map_dense,
     horn_system,
@@ -576,6 +577,71 @@ def test_horn_dim_equality_gate(name):
     dims per object, and a bundle that fails the simplicial identities."""
     V = _gate_bundle(name)
     _assert_horn_gate(V, range(1, V.L + 1))
+
+
+@pytest.mark.parametrize("name", GATE_BASES + ["unit(2)-nonuniform", "pair(2)-perturbed-R2"])
+def test_horn_bounds_bracket_eliminated_dim(name):
+    """The certificate's kernel counts bracket the eliminated horn dimension
+    on every horn above level 1: Σ dim K_j always, and rank h_k wherever
+    every face pair commutes."""
+    V = _gate_bundle(name)
+    for n in range(2, V.L + 1):
+        for s in V.base.nerve_level(n):
+            for k in range(n + 1):
+                hs = horn_system(V, n, k, s)
+                exact = hs.total - sparse_rank(hs.rows, hs.total)
+                lower, upper = horn_bounds(V, n, k, s)
+                assert exact <= upper, (n, k, s)
+                assert lower is None or lower <= exact, (n, k, s)
+
+
+def test_fixture_horns_certified(fixture_bundles):
+    """On the acceptance fixtures every horn above level 1 is certified by its
+    two kernel counts: no horn system is built there."""
+    for fx, B in fixture_bundles:
+        assert check_fibration(B).is_fibration
+        assert all(key[0] < 2 for key in B._horn_pairs), fx["name"]
+
+
+def _broken_face_bundle():
+    """A fibration with the level-2 face d_1 over simplex 0 dropped to zero."""
+    B = build_sdp(twisted_order_one(), 4)
+
+    def face(n, i, s):
+        m = B.face(n, i, s)
+        if n == 2 and i == 1 and B.base.simplex_index(s) == 0:
+            return BlockMap(m.src, m.dst, {})
+        return m
+
+    return SimpVB(B.base, B.L, B.grading, face, B.deg)
+
+
+@pytest.mark.parametrize("build", [lambda: _horn_law_bundle("pair(2)-perturbed-R2"),
+                                   _broken_face_bundle], ids=["perturbed-R2", "broken-face"])
+def test_horn_fallback_matches_exact_only(build, monkeypatch):
+    """Where a face identity fails, horns above level 1 are eliminated, and
+    the fibration report and every horn dimension equal those of a run in
+    which no horn is certified."""
+    import ruthvb.simplicial as simplicial
+
+    built = []
+    real = simplicial.horn_system
+
+    def recorded(fc, n, k, key):
+        built.append(n)
+        return real(fc, n, k, key)
+
+    monkeypatch.setattr(simplicial, "horn_system", recorded)
+    V = build()
+    rep = check_fibration(V)
+    assert not rep.is_fibration and max(built) >= 2
+    monkeypatch.setattr(simplicial, "horn_bounds", lambda fc, n, k, key: (None, None))
+    U = build()
+    assert dataclasses.asdict(check_fibration(U)) == dataclasses.asdict(rep)
+    for n in range(1, V.L + 1):
+        for s in V.base.nerve_level(n):
+            for k in range(n + 1):
+                assert horn_dim(V, n, k, s) == horn_dim(U, n, k, s), (n, k, s)
 
 
 def test_structure_maps_shared_per_grading():
