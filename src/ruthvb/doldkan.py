@@ -314,13 +314,7 @@ def dk_projection(X: SimpVB, n: int) -> RatMat:
     surjection for dk_classic.
     """
     g = X.grading(n)
-    label = g.labels[-1]
-    d = g.dim(label)
-    off = g.offset(label)
-    out = RatMat.zeros(d, g.total)
-    for r in range(d):
-        out.data[r][off + r] = ONE
-    return out
+    return BlockMap.projection(g, g.labels[-1]).to_dense()
 
 
 def normalization_roundtrip(Y: ChainComplex, X: SimpVB):

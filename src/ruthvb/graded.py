@@ -216,6 +216,11 @@ class BlockMap:
         return BlockMap._raw(src, dst, blocks)
 
     @staticmethod
+    def projection(g: Grading, label) -> BlockMap:
+        """The projection of g onto its label block, a one-label grading."""
+        return BlockMap.transport(g, Grading((label,), (g.dim(label),)), [(label, label, 1)])
+
+    @staticmethod
     def from_dense(src: Grading, dst: Grading, mat: RatMat) -> BlockMap:
         if (mat.rows, mat.cols) != (dst.total, src.total):
             raise DimensionMismatch("dense matrix does not match gradings")

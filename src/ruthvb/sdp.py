@@ -293,10 +293,7 @@ def twisted_cleavage(V: SdpBundle, psi: GaugeData) -> Cleavage:
     def rows(n, s):
         g = V.grading(n, s)
         full = (1 << (n + 1)) - 1
-        top = Grading((full,), (g.dim(full),))
-        if not top.total:
-            return RatMat.zeros(0, g.total)
-        return BlockMap(g, top, _lift_row(V.base, g, psi.block, full, s)).to_dense()
+        return BlockMap(g, Grading((full,), (g.dim(full),)), _lift_row(V.base, g, psi.block, full, s))
 
     return Cleavage(V, equations_fn=rows)
 

@@ -5,14 +5,14 @@ base.face and base.degeneracy.  Simplicial vector spaces are bundles over
 POINT, whose single simplex per level is None.  All checks are exact.
 
 Facts that read structure maps alone are memoized by the identity of those
-maps: an identity verdict per tuple of composed maps, a face kernel per
-tuple of face maps, and the elimination of a horn system's positive-face
-pairs per tuple of maps and slot gradings.  Where a bundle hands several
-simplices the same map object (one transport per pair of gradings), they
-share one computation; where it does not, each simplex pays as before.
+maps: an identity verdict per tuple of composed maps and a face kernel per
+tuple of face maps.  Where a bundle hands several simplices the same map
+object (one transport per pair of gradings), they share one computation;
+where it does not, each simplex pays as before.
 
 Horn dimensions are certified between two kernel counts (see horn_dim);
-a horn system is built and eliminated only where the counts disagree.
+a horn system is built and eliminated only at level 1 and where the counts
+disagree.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import Subspace, _back_substitute, _sparse_eliminate, sparse_kernel_basis
-from .graded import BlockMap, Grading
+from .exactla import Subspace, sparse_kernel_basis, sparse_rank
+from .graded import BlockMap
 
 
 @dataclass
@@ -178,88 +178,41 @@ def face_kernel(fc, n: int, key, face_indices) -> Subspace:
     return sub
 
 
-class HornPairs:
-    """Rows of the matching equations of the pairs 1 <= i < j of a horn.
-
-    Both sides of such a pair are positive faces, so the rows depend only on
-    those maps and the slot gradings, and every horn system with the same
-    ones shares this object.  pivots is their back-substituted elimination,
-    filled by horn_dim on first use and never edited after.
-    """
-
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.pivots = None
-
-
 @dataclass
 class HornSystem:
-    """The matching-equation system cutting the (n,k)-horn space out of a product.
+    """The matching-equation system cutting the (n,k)-horn space out of the
+    product of the slot fibers (j != k, in order): total coordinates, and
+    one sparse row per coordinate of every d_i(v_j) = d_{j-1}(v_i), i < j."""
 
-    Its rows are the shared rows of the pairs 1 <= i < j followed by the rows
-    of the pairs through slot 0, which are built for this simplex alone.
-    """
-
-    n: int
-    k: int
-    key: object
-    slots: tuple[int, ...]  # face indices j != k in order
-    slot_gradings: tuple[Grading, ...]
-    offsets: tuple[int, ...]
     total: int
-    positive: HornPairs
-    own: list[dict[int, Fraction]]
-
-    @property
-    def rows(self) -> list[dict[int, Fraction]]:
-        return self.positive.rows + self.own
-
-
-def _pair_rows(pairs) -> list[dict[int, Fraction]]:
-    """Rows of d_i(v_j) = d_{j-1}(v_i), one pair given as (offset of v_j, offset of v_i, d_i, d_{j-1})."""
-    rows: list[dict[int, Fraction]] = []
-    for oj, oi, fa, fb in pairs:
-        for ra, rb in zip(fa.sparse_rows(), fb.sparse_rows()):
-            row = {oj + c: v for c, v in ra.items()}
-            for c, v in rb.items():
-                cc = oi + c
-                nv = row.get(cc, 0) - v
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-            if row:
-                rows.append(row)
-    return rows
+    rows: list[dict[int, Fraction]]
 
 
 def horn_system(fc, n: int, k: int, key) -> HornSystem:
-    slots = tuple(j for j in range(n + 1) if j != k)
+    slots = [j for j in range(n + 1) if j != k]
     fkeys = {j: fc.base.face(key, j) for j in slots}
-    gradings = tuple(fc.grading(n - 1, fkeys[j]) for j in slots)
-    offsets = []
+    offset = {}
     t = 0
-    for g in gradings:
-        offsets.append(t)
-        t += g.total
-    offset = dict(zip(slots, offsets))
-    positive, own = [], []
-    if n >= 2:
-        for j in slots:
-            for i in slots:
-                if i >= j:
-                    continue
-                # d_i(v_j) = d_{j-1}(v_i)
-                pair = (offset[j], offset[i], fc.face(n - 1, i, fkeys[j]),
-                        fc.face(n - 1, j - 1, fkeys[i]))
-                (positive if i else own).append(pair)
-    shared = (n, k, *map(id, gradings), *(id(m) for p in positive for m in p[2:]))
-    pairs = fc._horn_pairs.get(shared)
-    if pairs is None:
-        pairs = fc._horn_pairs[shared] = HornPairs(_pair_rows(positive))
-    return HornSystem(n, k, key, slots, gradings, tuple(offsets), t, pairs, _pair_rows(own))
+    for j in slots:
+        offset[j] = t
+        t += fc.fiber_dim(n - 1, fkeys[j])
+    rows = [_pair_row(offset[j], ra, offset[i], rb)
+            for j in slots for i in slots if i < j
+            for ra, rb in zip(fc.face(n - 1, i, fkeys[j]).sparse_rows(),
+                              fc.face(n - 1, j - 1, fkeys[i]).sparse_rows())]
+    return HornSystem(t, rows)
+
+
+def _pair_row(oj: int, ra: dict, oi: int, rb: dict) -> dict[int, Fraction]:
+    """Row ra of d_i at v_j's offset minus row rb of d_{j-1} at v_i's offset."""
+    row = {oj + c: v for c, v in ra.items()}
+    for c, v in rb.items():
+        nv = row.get(oi + c, 0) - v
+        if nv:
+            row[oi + c] = nv
+        else:
+            row.pop(oi + c, None)
+    return row
 
 
 def horn_bounds(fc, n: int, k: int, key) -> tuple[int | None, int]:
@@ -304,9 +257,7 @@ def horn_dim(fc, n: int, k: int, key) -> int:
     When every face pair commutes and the two counts agree, both equal
     dim Λ^n_k.
     Otherwise (a failed identity, a horn that h_k does not fill, and n = 1,
-    whose system has no rows) the matching system is eliminated: the shared
-    rows of the pairs 1 <= i < j once, back-substituted, and the rows
-    through slot 0 reduced on top.
+    whose system has no rows) the matching system is eliminated.
     """
     memo = (n, k, key)
     d = fc._horn_dims.get(memo)
@@ -316,11 +267,7 @@ def horn_dim(fc, n: int, k: int, key) -> int:
             d = upper
         else:
             hs = horn_system(fc, n, k, key)
-            pairs = hs.positive
-            if pairs.pivots is None:
-                pairs.pivots = _back_substitute(_sparse_eliminate(pairs.rows))
-            rank = len(_sparse_eliminate(hs.own, pairs.pivots)) if hs.own else len(pairs.pivots)
-            d = hs.total - rank
+            d = hs.total - sparse_rank(hs.rows, hs.total)
         fc._horn_dims[memo] = d
     return d
 

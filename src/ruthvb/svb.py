@@ -6,9 +6,12 @@ complex: a simplicial vector space is a SimpVB over POINT.  Every flatness
 condition here is decided as a rank comparison on one constraint system per
 fiber: the conditions quantify over infinitely many vectors but are linear,
 so exact linear algebra settles them.  That one observation is what makes the
-whole checker suite terminate.  Bundles are immutable after construction;
-checks parallelize over fibers in principle and only share write-once caches.
-A bundle interns its gradings and keeps every face and degeneracy it hands
+whole checker suite terminate.  A cleavage's equations and every map they
+are pulled back along are BlockMaps, and the cochain coboundaries are sparse
+rows, so every such system reaches the eliminator as sparse rows without a
+dense matrix in between.  Bundles are immutable after construction; checks
+parallelize over fibers in principle and only share write-once caches.  A
+bundle interns its gradings and keeps every face and degeneracy it hands
 out, so the identity of a map can key the horn facts of simplicial.py.
 """
 
@@ -17,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .exactla import (
-    Fr,
-    RatMat,
-    Subspace,
-    is_complement,
-    kernel,
-    sparse_kernel_basis,
-    sparse_rank,
-)
+from .exactla import RatMat, Subspace, is_complement, sparse_kernel_basis, sparse_rank
 from .graded import BlockMap, Grading
 from .groupoid import FinGroupoid, NerveSimplex
 from .ruth import GradedBundle, Ruth
@@ -50,14 +45,12 @@ class SimpVB:
         self._faces: dict = {}
         self._degs: dict = {}
         # write-once horn facts, filled only by simplicial.py: face_kernel,
-        # horn_system, horn_dim and the face-pair verdicts of the identity
-        # sweep; the *_by_maps, _horn_pairs and _pair_verdicts tables are keyed
-        # by the id()s of gradings and maps that the tables above keep alive
-        # as long as self
+        # horn_dim and the face-pair verdicts of the identity sweep; the
+        # _kernels_by_maps and _pair_verdicts tables are keyed by the id()s of
+        # gradings and maps that the tables above keep alive as long as self
         self._kernels: dict = {}
         self._kernels_by_maps: dict = {}
         self._horn_dims: dict = {}
-        self._horn_pairs: dict = {}
         self._pair_verdicts: dict = {}
         self._faces_commute: dict = {}  # (n, s) -> every d_i d_j = d_{j-1} d_i holds
 
@@ -205,7 +198,11 @@ def check_fibration(V: SimpVB) -> FibrationReport:
 
 
 class Cleavage:
-    """Per-fiber subbundle with cached basis and equation forms, levels 1..L."""
+    """Per-fiber subbundle with cached basis and equation forms, levels 1..L.
+
+    The equations of a fiber are a BlockMap from its grading onto one label
+    whose kernel is the fiber, so pulling them back along a map is a compose.
+    """
 
     def __init__(self, V: SimpVB, basis_fn=None, equations_fn=None):
         if basis_fn is None and equations_fn is None:
@@ -223,39 +220,34 @@ class Cleavage:
             if self._basis_fn is not None:
                 sub = self._basis_fn(n, s)
             else:
-                sub = kernel(self._equations_fn(n, s))
+                eq = self.equations(n, s)
+                sub = Subspace.span(eq.src.total, sparse_kernel_basis(eq.sparse_rows(), eq.src.total))
             self._subs[key] = sub
         return sub
 
-    def equations(self, n: int, s: NerveSimplex) -> RatMat:
+    def equations(self, n: int, s: NerveSimplex) -> BlockMap:
         key = (n, s)
         eq = self._eqs.get(key)
         if eq is None:
             if self._equations_fn is not None:
                 eq = self._equations_fn(n, s)
             else:
-                eq = self.subspace(n, s).equations()
+                g = self.V.grading(n, s)
+                rows = sparse_kernel_basis(self.subspace(n, s).rows, g.total)
+                eq = BlockMap.from_rows(g, Grading.single(len(rows)), [r.items() for r in rows])
             self._eqs[key] = eq
         return eq
 
-    def contains_map_image(self, n: int, s: NerveSimplex, mat: RatMat) -> bool:
-        """Whether the column space of mat lies in the cleavage fiber."""
-        eq = self.equations(n, s)
-        return eq.rows == 0 or (eq @ mat).is_zero()
+    def contains_map_image(self, n: int, s: NerveSimplex, m: BlockMap) -> bool:
+        """Whether the image of m lies in the cleavage fiber."""
+        return self.equations(n, s).compose(m).is_zero()
 
 
 def canonical_cleavage(V: SimpVB) -> Cleavage:
     """Kernel of the top-index component, for bundles with mask-graded fibers."""
 
     def equations(n, s):
-        g = V.grading(n, s)
-        label = (1 << (n + 1)) - 1
-        d = g.dim(label)
-        off = g.offset(label)
-        out = RatMat.zeros(d, g.total)
-        for r in range(d):
-            out.data[r][off + r] = Fr(1)
-        return out
+        return BlockMap.projection(V.grading(n, s), (1 << (n + 1)) - 1)
 
     return Cleavage(V, equations_fn=equations)
 
@@ -288,23 +280,18 @@ class CleavageReport:
         return self.bijective and self.normal and self.weakly_flat
 
 
-def _pullback_rows(eq: RatMat, m: BlockMap) -> list[dict]:
-    """The rows of eq @ m as sparse dicts."""
-    return (eq @ m.to_dense())._sparse_rows() if eq.rows else []
-
-
 def _prefix_rows(V: SimpVB, C: Cleavage, n: int, s: NerveSimplex) -> list[dict]:
     """C_n's equations and every proper prefix's equations pulled back."""
-    rows = C.equations(n, s)._sparse_rows()
+    rows = list(C.equations(n, s).sparse_rows())
     for k in range(1, n):
-        mat, base_s = V.prefix_map(n, s, k)
-        rows += _pullback_rows(C.equations(k, base_s), mat)
+        m, base_s = V.prefix_map(n, s, k)
+        rows += C.equations(k, base_s).compose(m).sparse_rows()
     return rows
 
 
 def _face_rows(V: SimpVB, C: Cleavage, n: int, s: NerveSimplex) -> list[list[dict]]:
     """F_j = C_{n-1}(d_j s) d_j for every face j: d_j w lies in C iff F_j w = 0."""
-    return [_pullback_rows(C.equations(n - 1, V.base.face(s, j)), V.face(n, j, s))
+    return [C.equations(n - 1, V.base.face(s, j)).compose(V.face(n, j, s)).sparse_rows()
             for j in range(n + 1)]
 
 
@@ -362,7 +349,7 @@ def check_cleavage(V: SimpVB, C: Cleavage, check_interior: bool = True) -> Cleav
         for s in V.base.nerve_level(n):
             for j in range(n + 1):
                 t = V.base.degeneracy(s, j)
-                if not C.contains_map_image(n + 1, t, V.deg(n, j, s).to_dense()):
+                if not C.contains_map_image(n + 1, t, V.deg(n, j, s)):
                     normal = False
                     fail("normality", n + 1, j, V.base.simplex_index(t))
     for n in range(2, V.L + 1):
@@ -461,11 +448,11 @@ def check_weakly_flat_morphism(phi: BundleMap, C: Cleavage, Cp: Cleavage):
             W = _witness_space(V, C, n, s)
             if not W.dim:
                 continue
-            mat = phi.at(n, s).to_dense()
+            m = phi.at(n, s)
             eq = Cp.equations(n, s)
             for row in W.mat.data:
-                img = mat.apply(row)
-                if eq.rows and any(eq.apply(img)):
+                img = m.apply(row)
+                if any(eq.apply(img)):
                     if len(failures) < 10:
                         failures.append((n, V.base.simplex_index(s), tuple(row), img))
                     break
@@ -552,36 +539,45 @@ def _cochain_offsets(V: SimpVB, p: int):
     return offsets, t
 
 
-def coboundary_matrix(V: SimpVB, p: int) -> RatMat:
-    """delta: C^p -> C^{p+1} on fiberwise-linear functionals, alternating faces."""
+def coboundary_rows(V: SimpVB, p: int) -> list[dict]:
+    """Sparse rows of the transpose of delta: C^p -> C^{p+1}, one per coordinate of C^p.
+
+    delta f = sum_i (-1)^i f d_i on fiberwise-linear functionals, so row r of
+    the face d_i: fiber(t) -> fiber(s) lands, signed, in row r of s's block
+    at the columns of t's block.
+    """
     src_off, src_dim = _cochain_offsets(V, p)
-    dst_off, dst_dim = _cochain_offsets(V, p + 1)
-    out = RatMat.zeros(dst_dim, src_dim)
+    rows = [{} for _ in range(src_dim)]
+    t_off = 0
     for t in V.base.nerve_level(p + 1):
-        dt = V.fiber_dim(p + 1, t)
         for i in range(p + 2):
-            s = V.base.face(t, i)
-            mat = V.face(p + 1, i, t).to_dense()  # fiber(t) -> fiber(s)
+            s_off = src_off[V.base.face(t, i)]
             sign = -1 if i % 2 else 1
-            # functional transport: row r of C^{p+1} block receives mat^T columns
-            for r in range(mat.rows):  # coordinates of fiber(s)
-                for c in range(mat.cols):  # coordinates of fiber(t)
-                    v = mat.data[r][c]
-                    if v:
-                        out.data[dst_off[t] + c][src_off[s] + r] += sign * v
-    return out
+            for r, face_row in enumerate(V.face(p + 1, i, t).sparse_rows()):
+                row = rows[s_off + r]
+                for c, v in face_row.items():
+                    nv = row.get(t_off + c, 0) + sign * v
+                    if nv:
+                        row[t_off + c] = nv
+                    else:
+                        row.pop(t_off + c, None)
+        t_off += V.fiber_dim(p + 1, t)
+    return rows
 
 
 def linear_cochain_cohomology(V: SimpVB, up_to_degree: int) -> list[int]:
-    """Exact Betti numbers of the fiberwise-linear cochain complex."""
+    """Exact Betti numbers of the fiberwise-linear cochain complex.
+
+    The rank of each coboundary is the rank of its transpose's sparse rows.
+    """
     if not 0 <= up_to_degree <= V.L - 1:
         raise ValidationError(f"degree {up_to_degree} outside the certified range 0..{V.L - 1}")
-    deltas = [coboundary_matrix(V, p) for p in range(up_to_degree + 1)]
     dims = []
     prev_rank = 0
-    for delta in deltas:
-        rank = delta.rank()
-        dims.append(delta.cols - rank - prev_rank)
+    for p in range(up_to_degree + 1):
+        rows = coboundary_rows(V, p)
+        rank = sparse_rank(rows, _cochain_offsets(V, p + 1)[1])
+        dims.append(len(rows) - rank - prev_rank)
         prev_rank = rank
     return dims
 
