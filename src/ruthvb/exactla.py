@@ -6,6 +6,7 @@ one eliminator: a sparse forward elimination over {column: coefficient}
 rows, with integral entries kept as ints, and one back-substitution.  It
 decides the rank, RREF, kernel, inverse and solvers of dense matrices as
 well as the large but very sparse systems produced by face-map constraints.
+Both passes update rows through one routine, _sub_scaled.
 No floating point anywhere; equality of subspaces is equality of
 representations.  A Subspace stores only tuples, so it cannot change after
 construction and is safe to share; its dense basis `mat` is a new matrix on
@@ -343,7 +344,7 @@ def is_complement(S: Subspace, T: Subspace, ambient: int) -> bool:
     """True when dim S + dim T = ambient and the stacked bases have full rank."""
     if S.ambient != ambient or T.ambient != ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    return S.dim + T.dim == ambient and sparse_rank(S.rows + T.rows, ambient) == ambient
+    return S.dim + T.dim == ambient and sparse_rank(S.rows + T.rows) == ambient
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +353,42 @@ def is_complement(S: Subspace, T: Subspace, ambient: int) -> bool:
 # Face-map constraint systems are huge but mostly single- or double-entry
 # rows, and dense matrices here are mostly zeros and small integers.  Rows
 # are dicts {var: coefficient}; every rank, RREF, kernel and solve above
-# runs on these two routines.
+# runs on the forward elimination and the back-substitution below, and
+# every row update in the library, here and in the horn and coboundary
+# rows, is _sub_scaled.
 # ---------------------------------------------------------------------------
 
 
-def _sparse_eliminate(rows: list[dict[int, Fraction]], pivots=None) -> dict[int, dict[int, Fraction]]:
+def _sub_scaled(row: dict, other: dict, c, shift: int = 0, skip=None) -> None:
+    """row -= c * other in place, other's variables moved by shift; zeros dropped.
+
+    The entry of other at skip, if any, is left out (the caller has popped
+    the matching entry of row).  Coefficients may be ints or Fractions.
+    """
+    for v, x in other.items():
+        if v == skip:
+            continue
+        v += shift
+        nv = row.get(v, 0) - c * x
+        if nv:
+            row[v] = nv
+        else:
+            row.pop(v, None)
+
+
+def _sparse_eliminate(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
     """Forward-eliminate sparse rows; returns pivot-variable -> normalized row.
 
     Each pivot is the least variable of its row, and a pivot row is never
     edited once stored, so the pivots are the RREF pivot columns.  The input
-    dicts are copied, never changed (callers hand in cached rows).  Given
-    pivots (such a result, possibly back-substituted), the rows are reduced
-    on top of a shallow copy of them; the stored rows are never edited.
-    Coefficients may be ints or Fractions (mixed arithmetic stays exact);
-    unit coefficients take a division-free path since transport rows dominate.
+    dicts are copied, never changed (callers hand in cached rows).
+    Coefficients may be ints or Fractions (mixed arithmetic stays exact).
     """
-    pivots = {} if pivots is None else dict(pivots)
-    queue = sorted((r for r in rows if r), key=len)
-    for row in queue:
+    pivots = {}
+    for row in sorted((r for r in rows if r), key=len):
         row = dict(row)
         while row:
-            # reduce against existing pivots
+            # reduce against the first stored pivot the row meets
             hit = None
             for v in row:
                 if v in pivots:
@@ -380,38 +396,10 @@ def _sparse_eliminate(rows: list[dict[int, Fraction]], pivots=None) -> dict[int,
                     break
             if hit is None:
                 break
-            c = row.pop(hit)
-            prow = pivots[hit]
-            if c == 1:
-                for v2, c2 in prow.items():
-                    if v2 == hit:
-                        continue
-                    nv = row.get(v2, 0) - c2
-                    if nv:
-                        row[v2] = nv
-                    else:
-                        row.pop(v2, None)
-            elif c == -1:
-                for v2, c2 in prow.items():
-                    if v2 == hit:
-                        continue
-                    nv = row.get(v2, 0) + c2
-                    if nv:
-                        row[v2] = nv
-                    else:
-                        row.pop(v2, None)
-            else:
-                for v2, c2 in prow.items():
-                    if v2 == hit:
-                        continue
-                    nv = row.get(v2, 0) - c * c2
-                    if nv:
-                        row[v2] = nv
-                    else:
-                        row.pop(v2, None)
+            _sub_scaled(row, pivots[hit], row.pop(hit), skip=hit)
         if not row:
             continue
-        # pick the sparsest normalization pivot: any var; choose min for determinism
+        # the least variable is the pivot, which keeps the pivots in RREF order
         pv = min(row)
         lead = row[pv]
         if lead == 1:
@@ -434,19 +422,12 @@ def _back_substitute(pivots: dict[int, dict[int, Fraction]]) -> dict[int, dict[i
     for pv in sorted(pivots, reverse=True):
         row = pivots[pv]
         for v in [v for v in row if v != pv and v in pivots]:
-            c = row.pop(v)
-            for v2, c2 in pivots[v].items():
-                if v2 == v:
-                    continue
-                nv = row.get(v2, 0) - c * c2
-                if nv:
-                    row[v2] = nv
-                else:
-                    row.pop(v2, None)
+            _sub_scaled(row, pivots[v], row.pop(v), skip=v)
     return pivots
 
 
-def sparse_rank(rows: list[dict[int, Fraction]], nvars: int) -> int:
+def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
+    """The rank of sparse rows ({column: coefficient} dicts or pair tuples)."""
     return len(_sparse_eliminate(rows))
 
 

@@ -89,6 +89,14 @@ def _as_scalar(mat: RatMat) -> Fraction | None:
     return c
 
 
+def _entry(mat: RatMat) -> Entry | None:
+    """mat as a stored block: None when zero, c when mat == c * identity, else mat."""
+    if mat.is_zero():
+        return None
+    c = _as_scalar(mat)
+    return mat if c is None else _scalar(c)
+
+
 def _scale_dense(m: RatMat, c: Scalar) -> RatMat:
     if c == 1:
         return m

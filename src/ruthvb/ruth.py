@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .exactla import Fr, RatMat
+from .graded import _entries_equal
 from .groupoid import FinGroupoid, NerveSimplex
 from .ordmaps import sigma, tau
 
@@ -190,17 +191,7 @@ def face_sum(X: _OperatorTable, m: int, s: NerveSimplex) -> dict[int, RatMat]:
 
 
 def _tables_equal(a: dict[int, RatMat], b: dict[int, RatMat]) -> bool:
-    for deg in set(a) | set(b):
-        am, bm = a.get(deg), b.get(deg)
-        if am is None:
-            if not bm.is_zero():
-                return False
-        elif bm is None:
-            if not am.is_zero():
-                return False
-        elif am != bm:
-            return False
-    return True
+    return a == b or all(_entries_equal(a.get(deg), b.get(deg)) for deg in set(a) | set(b))
 
 
 @dataclass

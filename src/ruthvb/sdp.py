@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import ValidationError
 from .exactla import Fr, RatMat, Subspace
-from .graded import BlockMap, Grading, _as_scalar
+from .graded import BlockMap, Grading, _entries_equal, _entry
 from .groupoid import FinGroupoid, NerveSimplex
 from .ordmaps import (
     d0_row,
@@ -112,11 +112,8 @@ class SdpBundle(MaskBundle):
 
         def prefix_entry(term, s):
             h = G.restrict_vertices(s, term.tail)
-            mat = R.block(term.m, h, bin(term.source_mask).count("1") - 1)
-            if mat.is_zero():
-                return None
-            c = _as_scalar(mat)
-            return c * term.sign if c is not None else mat.scale(term.sign)
+            e = _entry(R.block(term.m, h, bin(term.source_mask).count("1") - 1))
+            return e if e is None or term.sign > 0 else -e
 
         super().__init__(G, L, grading, prefix_entry)
 
@@ -215,8 +212,6 @@ def d0_homogeneous_column(R: Ruth, n: int, s: NerveSimplex, alpha_mask: int):
 
 def d0_paths_agree(B: SdpBundle, levels=None) -> bool:
     """Compare the target-indexed and source-indexed zeroth-face assemblies."""
-    from .graded import _entries_equal
-
     G = B.base
     levels = range(1, B.L + 1) if levels is None else levels
     for n in levels:
@@ -256,11 +251,9 @@ def _lift_row(G: FinGroupoid, src: Grading, block_provider, beta: int, s: NerveS
         smask |= 1 << v
         if src.dim(smask) == 0:
             continue
-        mat = block_provider(l - r, G.restrict_vertices(s, elems[r:]), r)
-        if mat.is_zero():
-            continue
-        c = _as_scalar(mat)
-        row[(beta, smask)] = c if c is not None else mat
+        e = _entry(block_provider(l - r, G.restrict_vertices(s, elems[r:]), r))
+        if e is not None:
+            row[(beta, smask)] = e
     return row
 
 
@@ -381,14 +374,19 @@ class SensitivityReport:
         )
 
 
+def _d0_identity_holds(B: SimpVB, n: int, s: NerveSimplex) -> bool:
+    """d_0 d_0 = d_0 d_1 on the fiber over s."""
+    G = B.base
+    return (B.face(n - 1, 0, G.face(s, 0)).compose(B.face(n, 0, s))
+            == B.face(n - 1, 0, G.face(s, 1)).compose(B.face(n, 1, s)))
+
+
 def _first_d0_identity_failure(B: SimpVB):
     """Scan levels for the first fiber where d_0 d_0 differs from d_0 d_1."""
     G = B.base
     for n in range(2, B.L + 1):
         for s in G.nerve_level(n):
-            lhs = B.face(n - 1, 0, G.face(s, 0)).compose(B.face(n, 0, s))
-            rhs = B.face(n - 1, 0, G.face(s, 1)).compose(B.face(n, 1, s))
-            if lhs != rhs:
+            if not _d0_identity_holds(B, n, s):
                 return (n, G.simplex_index(s), s)
     return None
 
@@ -466,11 +464,8 @@ def rh2_sensitivity(R: Ruth, L: int | None = None, rng=None) -> SensitivityRepor
             related = _contains_subsimplex(G, d0_fail[2], G.nerve_level(wm)[widx])
         restored_ok = check_rh2(R).ok
         if d0_fail is not None:
-            B = build_sdp(R, L, validate=False)
             n, _, s_w = d0_fail
-            lhs = B.face(n - 1, 0, G.face(s_w, 0)).compose(B.face(n, 0, s_w))
-            rhs = B.face(n - 1, 0, G.face(s_w, 1)).compose(B.face(n, 1, s_w))
-            restored_ok = restored_ok and lhs == rhs
+            restored_ok = restored_ok and _d0_identity_holds(build_sdp(R, L, validate=False), n, s_w)
         return SensitivityReport(
             last,
             True,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import Subspace, sparse_kernel_basis, sparse_rank
+from .exactla import Subspace, _sub_scaled, sparse_kernel_basis, sparse_rank
 from .graded import BlockMap
 
 
@@ -59,14 +59,6 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
     verdicts: dict = {}
     idents: dict = {}  # one identity map per grading object, alive for the sweep
 
-    def holds(a, b, c, d):
-        """a∘b == c∘d, or a∘b == c when d is None."""
-        key = (id(a), id(b), id(c), id(d))
-        ok = verdicts.get(key)
-        if ok is None:
-            ok = verdicts[key] = a.compose(b) == (c if d is None else c.compose(d))
-        return ok
-
     def record(name, n, key, idx):
         if len(report.violations) < 10:
             report.violations.append(Violation(name, n, key, idx))
@@ -100,7 +92,7 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
                         else:
                             c, d = fc.deg(n - 1, j, fc.base.face(key, i - 1)), fc.face(n, i - 1, key)
                         report.checked += 1
-                        if not holds(lhs, degs[j], c, d):
+                        if not _holds(verdicts, lhs, degs[j], c, d):
                             record("d_i u_j", n, key, (i, j))
             # u_i u_j = u_{j+1} u_i (i <= j), needs level n+2 <= L
             if n + 2 <= fc.L:
@@ -109,11 +101,20 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
                     kj = fc.base.degeneracy(key, j)
                     for i in range(j + 1):
                         report.checked += 1
-                        if not holds(fc.deg(n + 1, i, kj), uj,
-                                     fc.deg(n + 1, j + 1, fc.base.degeneracy(key, i)),
-                                     fc.deg(n, i, key)):
+                        if not _holds(verdicts, fc.deg(n + 1, i, kj), uj,
+                                      fc.deg(n + 1, j + 1, fc.base.degeneracy(key, i)),
+                                      fc.deg(n, i, key)):
                             record("u_i u_j = u_{j+1} u_i", n, key, (i, j))
     return report
+
+
+def _holds(verdicts: dict, a, b, c, d) -> bool:
+    """a∘b == c∘d, or a∘b == c when d is None; decided once per tuple of map ids."""
+    key = (id(a), id(b), id(c), id(d))
+    ok = verdicts.get(key)
+    if ok is None:
+        ok = verdicts[key] = a.compose(b) == (c if d is None else c.compose(d))
+    return ok
 
 
 def _face_pairs(fc, n: int, key):
@@ -128,12 +129,8 @@ def _face_pairs(fc, n: int, key):
     verdicts = fc._pair_verdicts
     for j in range(1, n + 1):
         for i in range(j):
-            a, c = fc.face(n - 1, i, fkeys[j]), fc.face(n - 1, j - 1, fkeys[i])
-            memo = (id(a), id(faces[j]), id(c), id(faces[i]))
-            ok = verdicts.get(memo)
-            if ok is None:
-                ok = verdicts[memo] = a.compose(faces[j]) == c.compose(faces[i])
-            yield i, j, ok
+            yield i, j, _holds(verdicts, fc.face(n - 1, i, fkeys[j]), faces[j],
+                               fc.face(n - 1, j - 1, fkeys[i]), faces[i])
 
 
 def faces_commute(fc, n: int, key) -> bool:
@@ -206,12 +203,7 @@ def horn_system(fc, n: int, k: int, key) -> HornSystem:
 def _pair_row(oj: int, ra: dict, oi: int, rb: dict) -> dict[int, Fraction]:
     """Row ra of d_i at v_j's offset minus row rb of d_{j-1} at v_i's offset."""
     row = {oj + c: v for c, v in ra.items()}
-    for c, v in rb.items():
-        nv = row.get(oi + c, 0) - v
-        if nv:
-            row[oi + c] = nv
-        else:
-            row.pop(oi + c, None)
+    _sub_scaled(row, rb, 1, oi)
     return row
 
 
@@ -267,7 +259,7 @@ def horn_dim(fc, n: int, k: int, key) -> int:
             d = upper
         else:
             hs = horn_system(fc, n, k, key)
-            d = hs.total - sparse_rank(hs.rows, hs.total)
+            d = hs.total - sparse_rank(hs.rows)
         fc._horn_dims[memo] = d
     return d
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NoSolutionError, ValidationError
 from .exactla import Fr, RatMat, left_solver, solve_matrix
-from .graded import BlockMap, Grading
+from .graded import BlockMap, Grading, _densify
 from .groupoid import NerveSimplex
 from .ordmaps import mask_to_tuple
 from .ruth import GaugeData, Ruth, RuthMorphism, check_morphism, validate_ruth
@@ -23,6 +23,7 @@ from .svb import (
     BundleMap,
     Cleavage,
     SimpVB,
+    _intertwinings,
     check_cleavage,
     check_weakly_flat_morphism,
     core,
@@ -319,7 +320,7 @@ def roundtrip_bundle(ctx: SplitContext) -> tuple[Ruth, RoundtripReport]:
     level loses one face check to the truncation.
     """
     R = extract_ruth(ctx)
-    W = build_sdp(R, ctx.L, validate=False)
+    phi = BundleMap(ctx.V, build_sdp(R, ctx.L, validate=False), ctx.phi_block)
     G = ctx.G
     simplicial_ok = True
     invertible_ok = True
@@ -334,30 +335,16 @@ def roundtrip_bundle(ctx: SplitContext) -> tuple[Ruth, RoundtripReport]:
     top = ctx.L - 1
     for n in range(top + 1):
         for s in G.nerve_level(n):
-            phi_n = ctx.phi_block(n, s)
-            dense = phi_n.to_dense()
+            dense = phi.at(n, s).to_dense()
             checked += 1
             if dense.rows != dense.cols or dense.rank() != dense.rows:
                 invertible_ok = False
                 fail("invertible", n, G.simplex_index(s))
-            if n >= 1:
-                for i in range(n + 1):
-                    t = G.face(s, i)
-                    lhs = ctx.phi_block(n - 1, t).compose(ctx.V.face(n, i, s))
-                    rhs = W.face(n, i, s).compose(phi_n)
-                    checked += 1
-                    if lhs != rhs:
-                        simplicial_ok = False
-                        fail("face", n, i, G.simplex_index(s))
-            if n + 1 <= top:
-                for j in range(n + 1):
-                    t = G.degeneracy(s, j)
-                    lhs = ctx.phi_block(n + 1, t).compose(ctx.V.deg(n, j, s))
-                    rhs = W.deg(n, j, s).compose(phi_n)
-                    checked += 1
-                    if lhs != rhs:
-                        simplicial_ok = False
-                        fail("degeneracy", n, j, G.simplex_index(s))
+            for ok, witness in _intertwinings(phi, n, s, top):
+                checked += 1
+                if not ok:
+                    simplicial_ok = False
+                    fail(*witness)
             if n >= 1:
                 # the cleavage must map onto the canonical one
                 wg = ctx.w_grading(n, s)
@@ -415,14 +402,8 @@ def lower_morphism(phi: BundleMap, R_src: Ruth, R_dst: Ruth,
                 sigma_mask = (1 << (deg + 1)) - 1
                 iota_mask = (1 << (level + 1)) - 1
                 entry = bm.blocks.get((iota_mask, sigma_mask))
-                if entry is None:
-                    continue
-                if not isinstance(entry, RatMat):
-                    mat = RatMat.identity(rows).scale(entry)
-                else:
-                    mat = entry
-                if not mat.is_zero():
-                    table[deg] = mat
+                if entry is not None:
+                    table[deg] = entry if type(entry) is RatMat else _densify(entry, rows)
             if table:
                 ops[(m, g)] = table
     return RuthMorphism(R_src, R_dst, ops)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .exactla import RatMat, Subspace, is_complement, sparse_kernel_basis, sparse_rank
+from .exactla import RatMat, Subspace, _sub_scaled, is_complement, sparse_kernel_basis, sparse_rank
 from .graded import BlockMap, Grading
 from .groupoid import FinGroupoid, NerveSimplex
 from .ruth import GradedBundle, Ruth
@@ -315,10 +315,10 @@ def _face_closures(V: SimpVB, C: Cleavage, n: int, s: NerveSimplex, faces, zero_
     out = {}
     for zero_section in zero_sections:
         base = A + V.restrict_map(n, s, (0,))[0].sparse_rows() if zero_section else A
-        full = sparse_rank(base + [r for rows in F for r in rows], dim)
+        full = sparse_rank(base + [r for rows in F for r in rows])
         for i in faces:
             others = [r for j, rows in enumerate(F) if j != i for r in rows]
-            rank = sparse_rank(base + others, dim) if F[i] else full
+            rank = sparse_rank(base + others) if F[i] else full
             out[zero_section, i] = (dim - rank, rank == full)
     return out
 
@@ -409,28 +409,31 @@ class BundleMap:
         return m
 
 
+def _intertwinings(phi: BundleMap, n: int, s: NerveSimplex, top: int):
+    """(ok, witness) for φ d_i = d_i φ at every face of s, then for φ u_j = u_j φ
+    at every degeneracy of s while level n + 1 <= top."""
+    V, W, G = phi.V, phi.W, phi.V.base
+    idx = G.simplex_index(s)
+    here = phi.at(n, s)
+    if n >= 1:
+        for i in range(n + 1):
+            ok = phi.at(n - 1, G.face(s, i)).compose(V.face(n, i, s)) == W.face(n, i, s).compose(here)
+            yield ok, ("face", n, i, idx)
+    if n + 1 <= top:
+        for j in range(n + 1):
+            ok = phi.at(n + 1, G.degeneracy(s, j)).compose(V.deg(n, j, s)) == W.deg(n, j, s).compose(here)
+            yield ok, ("degeneracy", n, j, idx)
+
+
 def check_simplicial_map(phi: BundleMap):
     """Exact intertwining of faces and degeneracies; returns violation list."""
-    V, W = phi.V, phi.W
+    top = min(phi.V.L, phi.W.L)
     failures = []
-    for n in range(min(V.L, W.L) + 1):
-        for s in V.base.nerve_level(n):
-            if n >= 1:
-                for i in range(n + 1):
-                    t = V.base.face(s, i)
-                    lhs = phi.at(n - 1, t).compose(V.face(n, i, s))
-                    rhs = W.face(n, i, s).compose(phi.at(n, s))
-                    if lhs != rhs:
-                        if len(failures) < 10:
-                            failures.append(("face", n, i, V.base.simplex_index(s)))
-            if n + 1 <= min(V.L, W.L):
-                for j in range(n + 1):
-                    t = V.base.degeneracy(s, j)
-                    lhs = phi.at(n + 1, t).compose(V.deg(n, j, s))
-                    rhs = W.deg(n, j, s).compose(phi.at(n, s))
-                    if lhs != rhs:
-                        if len(failures) < 10:
-                            failures.append(("degeneracy", n, j, V.base.simplex_index(s)))
+    for n in range(top + 1):
+        for s in phi.V.base.nerve_level(n):
+            for ok, witness in _intertwinings(phi, n, s, top):
+                if not ok and len(failures) < 10:
+                    failures.append(witness)
     return failures
 
 
@@ -554,13 +557,7 @@ def coboundary_rows(V: SimpVB, p: int) -> list[dict]:
             s_off = src_off[V.base.face(t, i)]
             sign = -1 if i % 2 else 1
             for r, face_row in enumerate(V.face(p + 1, i, t).sparse_rows()):
-                row = rows[s_off + r]
-                for c, v in face_row.items():
-                    nv = row.get(t_off + c, 0) + sign * v
-                    if nv:
-                        row[t_off + c] = nv
-                    else:
-                        row.pop(t_off + c, None)
+                _sub_scaled(rows[s_off + r], face_row, -sign, t_off)
         t_off += V.fiber_dim(p + 1, t)
     return rows
 
@@ -576,7 +573,7 @@ def linear_cochain_cohomology(V: SimpVB, up_to_degree: int) -> list[int]:
     prev_rank = 0
     for p in range(up_to_degree + 1):
         rows = coboundary_rows(V, p)
-        rank = sparse_rank(rows, _cochain_offsets(V, p + 1)[1])
+        rank = sparse_rank(rows)
         dims.append(len(rows) - rank - prev_rank)
         prev_rank = rank
     return dims

@@ -233,6 +233,32 @@ def test_roundtrip_on_twisted_cleavage():
     assert check_morphism(chi.as_morphism(R, R2)).ok
 
 
+def test_roundtrip_reports_broken_intertwining():
+    """The splitting map doubled over one nondegenerate top-level simplex breaks
+    φ d_i = d_i φ at each of its faces and nothing else: the tower, the
+    invertibility and cleavage verdicts and the number of checks stay."""
+    R0, psi, R, B = twisted(151)
+    Cchi = twisted_cleavage(B, random_gauge(R.E, random.Random(4)))
+    R_ref, ref = roundtrip_bundle(SplitContext(B, Cchi))
+    assert ref.ok
+    top = B.L - 1
+    target = next(s for s in B.base.nerve_level(top) if not B.base.is_degenerate(s))
+    ctx = SplitContext(B, Cchi)
+    unperturbed = ctx.phi_block
+
+    def doubled(n, s):
+        bm = unperturbed(n, s)
+        return bm.scale(2) if (n, s) == (top, target) else bm
+
+    ctx.phi_block = doubled
+    R2, rep = roundtrip_bundle(ctx)
+    assert R2 == R_ref
+    assert not rep.simplicial_ok and rep.invertible_ok and rep.cleavage_ok
+    idx = B.base.simplex_index(target)
+    assert rep.failures == [("face", top, i, idx) for i in range(top + 1)]
+    assert rep.checked == ref.checked
+
+
 def test_roundtrip_on_counterexample_canonical():
     V, C, Cp = example_not_full()
     ctx = SplitContext(V, C)

@@ -192,6 +192,21 @@ def test_example_not_full_package():
             assert l310 + l321 == l320 + l210
 
 
+def test_simplicial_map_reports_first_broken_face():
+    """The identity doubled over one nondegenerate edge of a twisted bundle
+    first breaks φ d_0 = d_0 φ at that edge."""
+    B = build_sdp(twisted_order_one(), 3)
+    G = B.base
+    edge = next(s for s in G.nerve_level(1) if not G.is_degenerate(s))
+
+    def phi(n, s):
+        ident = BlockMap.identity(B.grading(n, s))
+        return ident.scale(2) if (n, s) == (1, edge) else ident
+
+    assert check_simplicial_map(BundleMap(B, B, lambda n, s: BlockMap.identity(B.grading(n, s)))) == []
+    assert check_simplicial_map(BundleMap(B, B, phi))[0] == ("face", 1, 0, G.simplex_index(edge))
+
+
 def test_one_bundles_morphisms_always_weakly_flat():
     """Between order-one bundles every simplicial map is weakly flat."""
     R = twisted_order_one(41)
@@ -609,7 +624,7 @@ def _assert_horn_gate(V, levels):
             for k in range(n + 1):
                 hs = horn_system(V, n, k, s)
                 d = horn_dim(V, n, k, s)
-                assert d == hs.total - sparse_rank(hs.rows, hs.total)
+                assert d == hs.total - sparse_rank(hs.rows)
                 assert d == _reference_horn_dim(V, n, k, s), (n, k, s)
 
 
@@ -644,7 +659,7 @@ def test_horn_bounds_bracket_eliminated_dim(name):
         for s in V.base.nerve_level(n):
             for k in range(n + 1):
                 hs = horn_system(V, n, k, s)
-                exact = hs.total - sparse_rank(hs.rows, hs.total)
+                exact = hs.total - sparse_rank(hs.rows)
                 lower, upper = horn_bounds(V, n, k, s)
                 assert exact <= upper, (n, k, s)
                 assert lower is None or lower <= exact, (n, k, s)
