@@ -201,7 +201,7 @@ def ruth_to_doc(R: Ruth) -> dict:
                 "m": m,
                 "simplex": G.simplex_index(s),
                 "degree": deg,
-                "matrix": mat_to_json(table[deg]),
+                "matrix": mat_to_json(R.block(m, s, deg)),
             })
     return {
         "kind": "ruth",

@@ -9,9 +9,11 @@ groupoids, gauge twists, and splittings of bundles; building a valid tower by
 hand is hard, so everything nontrivial is produced by construction.
 
 Towers, morphisms and gauge data (with psi_0 = id stored) share one table
-type, one block per (m, simplex) and source degree.  Zero blocks are never
-stored, so an absent block is zero and equality is table equality.  Every
-head/tail sum over the splittings of a simplex goes through convolve.
+type: one block per (m, simplex) and source degree, stored once, when the
+table is built, in the entry form a bundle's faces read (graded's: c for c
+times the identity, else dense), and never when zero.  So an absent block is
+zero and equality is table equality.  Every head/tail sum over the splittings
+of a simplex goes through convolve, on graded's block arithmetic.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .exactla import Fr, RatMat
-from .graded import _entries_equal
+from .exactla import Fr, RatMat, _scalar
+from .graded import _densify, _entries_equal, _entry, _entry_add, _entry_mul
 from .groupoid import FinGroupoid, NerveSimplex
 from .ordmaps import sigma, tau
 
@@ -66,8 +68,10 @@ def uniform_bundle(G: FinGroupoid, dims) -> GradedBundle:
 class _OperatorTable:
     """One block per nerve simplex and source degree, of degree m + shift.
 
-    ops maps (m, simplex) to {source degree: RatMat}, ascending in degree.
-    Zero blocks are never stored: an absent block is zero, so two tables
+    ops maps (m, simplex) to {source degree: entry}, ascending in degree, an
+    entry being graded's stored form of a nonzero block: an int (a Fraction
+    when not integral) c for c times the identity, else a dense RatMat.  An
+    absent block is zero and each block has one stored form, so two tables
     with the same bundles are equal exactly when their ops are.
     """
 
@@ -76,37 +80,47 @@ class _OperatorTable:
     def __init__(self, src: GradedBundle, tgt: GradedBundle, operators):
         self.G = src.G
         self._src, self._tgt = src, tgt
-        self.ops: dict[tuple[int, NerveSimplex], dict[int, RatMat]] = {}
+        self.ops: dict[tuple[int, NerveSimplex], dict] = {}
         for (m, s), table in operators.items():
             self._store(m, s, table)
 
-    def _store(self, m: int, s: NerveSimplex, table: dict[int, RatMat]) -> None:
-        """Check shapes and keep the nonzero blocks, ascending in degree."""
+    def _store(self, m: int, s: NerveSimplex, table: dict) -> None:
+        """Check shapes and keep the nonzero blocks in stored form, ascending in degree.
+
+        A block comes dense or as an entry already in stored form, a scalar
+        only on a square slot.
+        """
         clean = {}
         for deg in sorted(table):
-            mat = table[deg]
-            want_rows = self._tgt.dim(self.G.vertex_obj(s, s.level), deg + m + self.shift)
-            want_cols = self._src.dim(s.x0, deg)
-            if (mat.rows, mat.cols) != (want_rows, want_cols):
+            e = table[deg]
+            rows = self._tgt.dim(self.G.vertex_obj(s, s.level), deg + m + self.shift)
+            cols = self._src.dim(s.x0, deg)
+            dense = type(e) is RatMat
+            # a scalar c stands for c times the identity, a square block
+            if ((e.rows, e.cols) if dense else (rows, rows)) != (rows, cols):
+                got = f"shape {e.rows}x{e.cols}" if dense else "a scalar"
                 raise ValidationError(
-                    f"operator block m={m}, degree {deg} has shape "
-                    f"{mat.rows}x{mat.cols}, want {want_rows}x{want_cols}"
-                )
-            if not mat.is_zero():
-                clean[deg] = mat
+                    f"operator block m={m}, degree {deg} has {got}, want {rows}x{cols}")
+            e = _entry(e) if dense else (_scalar(e) if rows and e else None)
+            if e is not None:
+                clean[deg] = e
         if clean:
             self.ops[(m, s)] = clean
 
-    def block(self, m: int, s: NerveSimplex, src_deg: int) -> RatMat:
-        """The (m, simplex) block on degree src_deg; zero when absent."""
-        mat = self.ops.get((m, s), {}).get(src_deg)
-        if mat is None:
-            rows = self._tgt.dim(self.G.vertex_obj(s, s.level), src_deg + m + self.shift)
-            mat = RatMat.zeros(rows, self._src.dim(s.x0, src_deg))
-        return mat
+    def entry(self, m: int, s: NerveSimplex, src_deg: int):
+        """The stored (m, simplex) block on degree src_deg, or None when it is zero."""
+        return self.ops.get((m, s), {}).get(src_deg)
 
-    def operator(self, m: int, s: NerveSimplex) -> dict[int, RatMat]:
-        """The nonzero blocks at (m, simplex) by source degree."""
+    def block(self, m: int, s: NerveSimplex, src_deg: int) -> RatMat:
+        """The (m, simplex) block on degree src_deg as a dense matrix; zero when absent."""
+        e = self.entry(m, s, src_deg)
+        if type(e) is RatMat:
+            return e
+        rows = self._tgt.dim(self.G.vertex_obj(s, s.level), src_deg + m + self.shift)
+        return RatMat.zeros(rows, self._src.dim(s.x0, src_deg)) if e is None else _densify(e, rows)
+
+    def operator(self, m: int, s: NerveSimplex) -> dict:
+        """The stored entries at (m, simplex) by source degree."""
         return dict(self.ops.get((m, s), {}))
 
     def equal_operators(self, other: _OperatorTable) -> bool:
@@ -116,9 +130,7 @@ class _OperatorTable:
 def _identity_ops(E: GradedBundle):
     """psi_0 = id on every object, as an operator table."""
     return {
-        (0, NerveSimplex(x, ())): {
-            deg: RatMat.identity(E.dim(x, deg)) for deg in E.degrees() if E.dim(x, deg)
-        }
+        (0, NerveSimplex(x, ())): {deg: 1 for deg in E.degrees() if E.dim(x, deg)}
         for x in range(E.G.n_objects)
     }
 
@@ -148,16 +160,19 @@ class Ruth(_OperatorTable):
 # ---------------------------------------------------------------------------
 
 
-def _acc(table: dict[int, RatMat], other: dict[int, RatMat], sign: int):
-    for deg, mat in other.items():
-        mat = mat if sign > 0 else -mat
-        cur = table.get(deg)
-        table[deg] = mat if cur is None else cur + mat
+def _acc(table: dict, other: dict, sign: int):
+    """table += sign * other, degreewise; a degree whose sum is zero is dropped."""
+    for deg, e in other.items():
+        e = _entry_add(table.get(deg), e if sign > 0 else -e)
+        if e is None:
+            table.pop(deg, None)
+        else:
+            table[deg] = e
     return table
 
 
 def convolve(outer: _OperatorTable, inner: _OperatorTable, m: int, s: NerveSimplex,
-             alternate: bool = False) -> dict[int, RatMat]:
+             alternate: bool = False) -> dict:
     """Sum over r of (+-1)^r outer_{m-r}(tail) ∘ inner_r(head), degreewise.
 
     head and tail are the first r and last m - r arrows of the m-simplex s;
@@ -165,7 +180,7 @@ def convolve(outer: _OperatorTable, inner: _OperatorTable, m: int, s: NerveSimpl
     absent (zero) blocks cost nothing.
     """
     G = inner.G
-    out: dict[int, RatMat] = {}
+    out: dict = {}
     for r in range(m + 1):
         first = inner.ops.get((r, G.restrict(s, sigma(r, m))))
         if not first:
@@ -174,23 +189,23 @@ def convolve(outer: _OperatorTable, inner: _OperatorTable, m: int, s: NerveSimpl
         if not second:
             continue
         products = {}
-        for deg, mat in first.items():
+        for deg, e in first.items():
             after = second.get(deg + r + inner.shift)
             if after is not None:
-                products[deg] = after @ mat
+                products[deg] = _entry_mul(after, e)
         _acc(out, products, -1 if alternate and r % 2 else 1)
     return out
 
 
-def face_sum(X: _OperatorTable, m: int, s: NerveSimplex) -> dict[int, RatMat]:
+def face_sum(X: _OperatorTable, m: int, s: NerveSimplex) -> dict:
     """Sum over the inner faces i = 1..m-1 of (-1)^i X_{m-1}(d_i s), degreewise."""
-    out: dict[int, RatMat] = {}
+    out: dict = {}
     for i in range(1, m):
         _acc(out, X.ops.get((m - 1, X.G.face(s, i)), {}), -1 if i % 2 else 1)
     return out
 
 
-def _tables_equal(a: dict[int, RatMat], b: dict[int, RatMat]) -> bool:
+def _tables_equal(a: dict, b: dict) -> bool:
     return a == b or all(_entries_equal(a.get(deg), b.get(deg)) for deg in set(a) | set(b))
 
 
@@ -323,13 +338,12 @@ class GaugeData(_OperatorTable):
     """Higher operators psi_m (m >= 1) with psi_0 = id, vanishing on degenerates."""
 
     def __init__(self, E: GradedBundle, higher):
-        # higher: (m, simplex) -> {src_degree: RatMat}, m >= 1
-        for (m, s), table in higher.items():
-            if m < 1:
-                raise ValidationError("gauge data only carries m >= 1")
-            if E.G.is_degenerate(s) and any(not mat.is_zero() for mat in table.values()):
-                raise ValidationError("gauge data must vanish on degenerate simplices")
+        # higher: (m, simplex) -> {src_degree: block}, m >= 1
+        if any(m < 1 for m, _ in higher):
+            raise ValidationError("gauge data only carries m >= 1")
         super().__init__(E, E, {**_identity_ops(E), **higher})
+        if any(m and E.G.is_degenerate(s) for m, s in self.ops):
+            raise ValidationError("gauge data must vanish on degenerate simplices")
         self.E = E
 
     def as_morphism(self, source: Ruth, target: Ruth) -> RuthMorphism:
@@ -390,16 +404,9 @@ def strict_ruth(E: GradedBundle, differential, arrow_maps) -> Ruth:
     composition; validated by the axiom checkers on construction.
     """
     G = E.G
-    ops = {}
-    for x in range(G.n_objects):
-        s = NerveSimplex(x, ())
-        table = {n: m for n, m in differential.get(x, {}).items() if not m.is_zero()}
-        if table:
-            ops[(0, s)] = table
+    ops = {(0, NerveSimplex(x, ())): differential.get(x, {}) for x in range(G.n_objects)}
     for s in G.nerve_level(1):
-        g = s.arrows[0]
-        table = dict(arrow_maps.get(g, {}))
-        ops[(1, s)] = table
+        ops[(1, s)] = arrow_maps.get(s.arrows[0], {})
     R = Ruth(E, ops)
     validate_ruth(R)
     return R

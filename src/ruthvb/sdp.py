@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import ValidationError
 from .exactla import Fr, RatMat, Subspace
-from .graded import BlockMap, Grading, _entries_equal, _entry
+from .graded import BlockMap, Grading, _entries_equal
 from .groupoid import FinGroupoid, NerveSimplex
 from .ordmaps import (
     d0_row,
@@ -112,7 +112,7 @@ class SdpBundle(MaskBundle):
 
         def prefix_entry(term, s):
             h = G.restrict_vertices(s, term.tail)
-            e = _entry(R.block(term.m, h, bin(term.source_mask).count("1") - 1))
+            e = R.entry(term.m, h, bin(term.source_mask).count("1") - 1)
             return e if e is None or term.sign > 0 else -e
 
         super().__init__(G, L, grading, prefix_entry)
@@ -192,13 +192,13 @@ def d0_homogeneous_column(R: Ruth, n: int, s: NerveSimplex, alpha_mask: int):
         l = k + m - 1  # beta:[l] -> [n-1]
         sign = -1 if l % 2 else 1
         for tail in combinations(above, m):
-            mat = R.ops.get((m, G.restrict_vertices(s, (top,) + tail)), {}).get(deg)
-            if mat is None:
+            e = R.entry(m, G.restrict_vertices(s, (top,) + tail), deg)
+            if e is None:
                 continue
             bp = alpha_mask
             for v in tail:
                 bp |= 1 << v
-            out[(bp & ~1) >> 1] = mat if sign == 1 else -mat  # unprime
+            out[(bp & ~1) >> 1] = e if sign == 1 else -e  # unprime
     for v in range(1, top):
         if (alpha_mask >> v) & 1:
             continue
@@ -237,11 +237,11 @@ def d0_paths_agree(B: SdpBundle, levels=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _lift_row(G: FinGroupoid, src: Grading, block_provider, beta: int, s: NerveSimplex) -> dict:
+def _lift_row(G: FinGroupoid, src: Grading, entry_provider, beta: int, s: NerveSimplex) -> dict:
     """Blocks of the lift's target component beta: one per prefix of beta.
 
     The prefix through the r-th element of beta receives the provider's
-    block along the tail from that element on.
+    stored entry along the tail from that element on.
     """
     elems = mask_to_tuple(beta)
     l = len(elems) - 1
@@ -251,20 +251,20 @@ def _lift_row(G: FinGroupoid, src: Grading, block_provider, beta: int, s: NerveS
         smask |= 1 << v
         if src.dim(smask) == 0:
             continue
-        e = _entry(block_provider(l - r, G.restrict_vertices(s, elems[r:]), r))
+        e = entry_provider(l - r, G.restrict_vertices(s, elems[r:]), r)
         if e is not None:
             row[(beta, smask)] = e
     return row
 
 
-def _lift_block_map(Vs: SimpVB, Vt: SimpVB, block_provider, n: int, s: NerveSimplex) -> BlockMap:
+def _lift_block_map(Vs: SimpVB, Vt: SimpVB, entry_provider, n: int, s: NerveSimplex) -> BlockMap:
     """Level-preserving map with target components summing prefix restrictions."""
     src = Vs.grading(n, s)
     dst = Vt.grading(n, s)
     blocks = {}
     for beta in zero_mono_masks(n):
         if dst.dim(beta):
-            blocks.update(_lift_row(Vs.base, src, block_provider, beta, s))
+            blocks.update(_lift_row(Vs.base, src, entry_provider, beta, s))
     return BlockMap(src, dst, blocks)
 
 
@@ -272,7 +272,7 @@ def lift_morphism(psi: RuthMorphism, Vs: SimpVB, Vt: SimpVB) -> BundleMap:
     """The bundle map induced by a tower morphism between two semi-direct products."""
 
     def fn(n, s):
-        return _lift_block_map(Vs, Vt, psi.block, n, s)
+        return _lift_block_map(Vs, Vt, psi.entry, n, s)
 
     return BundleMap(Vs, Vt, fn)
 
@@ -286,7 +286,7 @@ def twisted_cleavage(V: SdpBundle, psi: GaugeData) -> Cleavage:
     def rows(n, s):
         g = V.grading(n, s)
         full = (1 << (n + 1)) - 1
-        return BlockMap(g, Grading((full,), (g.dim(full),)), _lift_row(V.base, g, psi.block, full, s))
+        return BlockMap(g, Grading((full,), (g.dim(full),)), _lift_row(V.base, g, psi.entry, full, s))
 
     return Cleavage(V, equations_fn=rows)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NoSolutionError, ValidationError
 from .exactla import Fr, RatMat, left_solver, solve_matrix
-from .graded import BlockMap, Grading, _densify
+from .graded import BlockMap, Grading
 from .groupoid import NerveSimplex
 from .ordmaps import mask_to_tuple
 from .ruth import GaugeData, Ruth, RuthMorphism, check_morphism, validate_ruth
@@ -241,6 +241,30 @@ def certified_operator_cap(ctx: SplitContext) -> int:
     return min(ctx.N + 1, ctx.L - ctx.N)
 
 
+def _read_tower(G, E_src, E_dst, cap: int, L: int, shift: int, block) -> dict:
+    """An operator table read off a bundle, one entry per m-simplex g and degree.
+
+    For m <= cap and each degree deg with nonzero source and target, the
+    entry is block(fiber, deg), fiber being g degenerated deg times at level
+    deg + m <= L; a None entry is not stored.
+    """
+    ops: dict = {}
+    for m in range(cap + 1):
+        for g in G.nerve_level(m):
+            ops[(m, g)] = table = {}
+            top = G.vertex_obj(g, m)
+            for deg in E_src.degrees():
+                if deg + m > L or not (E_src.dim(g.x0, deg) and E_dst.dim(top, deg + m + shift)):
+                    continue
+                fiber = g
+                for _ in range(deg):
+                    fiber = G.degeneracy(fiber, 0)
+                e = block(fiber, deg)
+                if e is not None:
+                    table[deg] = e
+    return ops
+
+
 def extract_ruth(ctx: SplitContext) -> Ruth:
     """Read the operator tower off the zeroth face in split coordinates.
 
@@ -249,47 +273,26 @@ def extract_ruth(ctx: SplitContext) -> Ruth:
     certified cap vanish by degree.  The output is validated before return.
     """
     G, E = ctx.G, ctx.E
-    ops: dict = {}
-    cap = certified_operator_cap(ctx)
-    for m in range(cap + 1):
-        for g in G.nerve_level(m):
-            table = {}
-            x0 = g.x0
-            top_obj = G.vertex_obj(g, m)
-            for deg in E.degrees():
-                cols = E.dim(x0, deg)
-                tgt = deg + m - 1
-                rows = E.dim(top_obj, tgt) if tgt >= 0 else 0
-                if rows == 0 or cols == 0:
-                    continue
-                fiber = g
-                for _ in range(deg):
-                    fiber = G.degeneracy(fiber, 0)
-                level = deg + m
-                if level > ctx.L:
-                    continue
-                phi = ctx.phi_matrix(level, fiber)
-                wg = ctx.w_grading(level, fiber)
-                sigma_mask = (1 << (deg + 1)) - 1
-                off = wg.offset(sigma_mask)
-                embed = RatMat.zeros(wg.total, cols)
-                for c in range(cols):
-                    embed.data[off + c][c] = Fr(1)
-                v_cols = solve_matrix(phi, embed)
-                d0v = ctx.V.face(level, 0, fiber).to_dense() @ v_cols
-                base0 = G.face(fiber, 0)
-                w = ctx.phi_matrix(level - 1, base0) @ d0v
-                wg0 = ctx.w_grading(level - 1, base0)
-                iota_mask = (1 << level) - 1
-                ioff = wg0.offset(iota_mask)
-                block = RatMat(rows, cols, [w.data[ioff + r] for r in range(rows)])
-                sign = -1 if (m + deg - 1) % 2 else 1
-                if sign < 0:
-                    block = -block
-                if not block.is_zero():
-                    table[deg] = block
-            if table:
-                ops[(m, g)] = table
+
+    def block(fiber, deg):
+        level = fiber.level
+        wg = ctx.w_grading(level, fiber)
+        sigma_mask = (1 << (deg + 1)) - 1
+        off, cols = wg.offset(sigma_mask), wg.dim(sigma_mask)
+        embed = RatMat.zeros(wg.total, cols)
+        for c in range(cols):
+            embed.data[off + c][c] = Fr(1)
+        v_cols = solve_matrix(ctx.phi_matrix(level, fiber), embed)
+        d0v = ctx.V.face(level, 0, fiber).to_dense() @ v_cols
+        base0 = G.face(fiber, 0)
+        w = ctx.phi_matrix(level - 1, base0) @ d0v
+        wg0 = ctx.w_grading(level - 1, base0)
+        iota_mask = (1 << level) - 1
+        ioff, rows = wg0.offset(iota_mask), wg0.dim(iota_mask)
+        mat = RatMat(rows, cols, w.data[ioff : ioff + rows])
+        return -mat if (level - 1) % 2 else mat
+
+    ops = _read_tower(G, E, E, certified_operator_cap(ctx), ctx.L, -1, block)
     R = Ruth(E, ops, m_cap=2 * E.N + 2)
     validate_ruth(R)
     return R
@@ -380,32 +383,13 @@ def lower_morphism(phi: BundleMap, R_src: Ruth, R_dst: Ruth,
     bad = check_weakly_flat_morphism(phi, C_src, C_dst)
     if bad:
         raise ValidationError("bundle map is not weakly flat", witness=bad[0])
-    G = phi.V.base
-    E_src, E_dst = R_src.E, R_dst.E
-    ops: dict = {}
-    cap = min(R_src.m_cap, phi.V.L)
-    for m in range(cap + 1):
-        for g in G.nerve_level(m):
-            table = {}
-            for deg in E_src.degrees():
-                cols = E_src.dim(g.x0, deg)
-                rows = E_dst.dim(G.vertex_obj(g, m), deg + m)
-                if rows == 0 or cols == 0:
-                    continue
-                level = deg + m
-                if level > phi.V.L:
-                    continue
-                fiber = g
-                for _ in range(deg):
-                    fiber = G.degeneracy(fiber, 0)
-                bm = phi.at(level, fiber)
-                sigma_mask = (1 << (deg + 1)) - 1
-                iota_mask = (1 << (level + 1)) - 1
-                entry = bm.blocks.get((iota_mask, sigma_mask))
-                if entry is not None:
-                    table[deg] = entry if type(entry) is RatMat else _densify(entry, rows)
-            if table:
-                ops[(m, g)] = table
+    L = phi.V.L
+
+    def block(fiber, deg):
+        iota_mask, sigma_mask = (1 << (fiber.level + 1)) - 1, (1 << (deg + 1)) - 1
+        return phi.at(fiber.level, fiber).blocks.get((iota_mask, sigma_mask))
+
+    ops = _read_tower(phi.V.base, R_src.E, R_dst.E, min(R_src.m_cap, L), L, 0, block)
     return RuthMorphism(R_src, R_dst, ops)
 
 

@@ -532,16 +532,6 @@ def rank_identities(V: SimpVB) -> RankReport:
 # ---------------------------------------------------------------------------
 
 
-def _cochain_offsets(V: SimpVB, p: int):
-    level = V.base.nerve_level(p)
-    offsets = {}
-    t = 0
-    for s in level:
-        offsets[s] = t
-        t += V.fiber_dim(p, s)
-    return offsets, t
-
-
 def coboundary_rows(V: SimpVB, p: int) -> list[dict]:
     """Sparse rows of the transpose of delta: C^p -> C^{p+1}, one per coordinate of C^p.
 
@@ -549,7 +539,10 @@ def coboundary_rows(V: SimpVB, p: int) -> list[dict]:
     the face d_i: fiber(t) -> fiber(s) lands, signed, in row r of s's block
     at the columns of t's block.
     """
-    src_off, src_dim = _cochain_offsets(V, p)
+    src_off, src_dim = {}, 0
+    for s in V.base.nerve_level(p):
+        src_off[s] = src_dim
+        src_dim += V.fiber_dim(p, s)
     rows = [{} for _ in range(src_dim)]
     t_off = 0
     for t in V.base.nerve_level(p + 1):

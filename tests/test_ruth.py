@@ -10,6 +10,8 @@ from ruthvb.exactla import RatMat
 from ruthvb.groupoid import NerveSimplex, pair_groupoid, unit_groupoid
 from ruthvb.ruth import (
     GaugeData,
+    GradedBundle,
+    Ruth,
     chain_complex_ruth,
     check_morphism,
     check_rh1,
@@ -99,6 +101,47 @@ def test_rh2_homotopy_shape():
             zero = R.block(2, s, deg).scale(0)  # an absent side is zero of this shape
             assert lhs.get(deg, zero) == rhs.get(deg, zero)
     assert any(R.operator(2, s) for s in G.nerve_level(2))
+
+
+def test_tower_blocks_stored_as_entries():
+    """A tower fixes each block's entry form once, when it is built: c times
+    the identity as an int (a Fraction when not integral), any other nonzero
+    block dense, a zero block not at all; block() gives the dense block."""
+    G = unit_groupoid(1)
+    E = GradedBundle(G, {0: (2, 2, 1)})
+    obj, u = NerveSimplex(0, ()), NerveSimplex(0, (0,))
+    lower = RatMat.from_rows([[1, 2], [0, 1]])
+    given = {
+        (1, u): {0: RatMat.identity(2).scale(3), 1: RatMat.identity(2).scale(Fr(1, 2)),
+                 2: RatMat.zeros(1, 1)},
+        (0, obj): {1: lower, 2: RatMat.zeros(2, 1)},
+    }
+    R = Ruth(E, given)
+    assert R.ops == {(1, u): {0: 3, 1: Fr(1, 2)}, (0, obj): {1: lower}}
+    assert type(R.ops[(1, u)][0]) is int and type(R.ops[(1, u)][1]) is Fr
+    assert type(R.ops[(0, obj)][1]) is RatMat
+    for (m, s), table in given.items():
+        for deg, mat in table.items():
+            assert R.block(m, s, deg) == mat
+    assert R.entry(0, obj, 2) is None and R.entry(1, u, 2) is None
+    assert R.entry(0, obj, 0) is None and R.block(0, obj, 0) == RatMat.zeros(0, 2)
+    # entries already in stored form are accepted, a scalar only on a square slot
+    assert Ruth(E, {(1, u): {0: Fr(6, 2), 1: Fr(1, 2)}, (0, obj): {1: lower}}) == R
+    with pytest.raises(ValidationError):
+        Ruth(E, {(0, obj): {2: 5}})
+    assert Ruth(R.E, R.ops) == R
+
+    # a twisted pair(2) (1,1) tower, read off its bundle: every block is 1x1
+    G2 = pair_groupoid(2)
+    rng = random.Random(5)
+    R0 = random_strict_ruth(G2, rng, (1, 1))
+    T = gauge_twist(R0, random_gauge(R0.E, rng))
+    entries = [e for table in T.ops.values() for e in table.values()]
+    assert any(m == 2 for m, _ in T.ops)
+    assert all(type(e) is int or (type(e) is Fr and e.denominator > 1) for e in entries)
+    assert all(e for e in entries)
+    assert Ruth(T.E, T.ops) == T
+    assert identity_morphism(T).ops[(0, NerveSimplex(0, ()))] == {0: 1, 1: 1}
 
 
 def test_morphism_identity_and_perturbation():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction as Fr
+from itertools import accumulate
 
 import pytest
 
@@ -30,7 +31,6 @@ from ruthvb.simplicial import (
 from ruthvb.svb import (
     BundleMap,
     SimpVB,
-    _cochain_offsets,
     _face_closures,
     check_cleavage,
     check_fibration,
@@ -261,8 +261,14 @@ def test_cohomology_fixtures():
 def _dense_coboundary(V, p):
     """delta: C^p -> C^{p+1} as a dense matrix, assembled entry by entry from
     the dense faces: the reference for the sparse rows of its transpose."""
-    src_off, src_dim = _cochain_offsets(V, p)
-    dst_off, dst_dim = _cochain_offsets(V, p + 1)
+
+    def offsets(q):
+        level = V.base.nerve_level(q)
+        starts = list(accumulate((V.fiber_dim(q, s) for s in level), initial=0))
+        return dict(zip(level, starts)), starts[-1]
+
+    src_off, src_dim = offsets(p)
+    dst_off, dst_dim = offsets(p + 1)
     out = RatMat.zeros(dst_dim, src_dim)
     for t in V.base.nerve_level(p + 1):
         for i in range(p + 2):
