@@ -252,22 +252,12 @@ def _label_to_json(label):
 
 
 def _block_map_to_json(m: BlockMap):
-    """The row-major array of m, written from its blocks: "0" off their support."""
-    src, dst = m.src, m.dst
-    rows = [["0"] * src.total for _ in range(dst.total)]
-    for (dl, sl), e in m.blocks.items():
-        doff, soff = dst.offset(dl), src.offset(sl)
-        if type(e) is RatMat:
-            for r, row in enumerate(e.data):
-                out = rows[doff + r]
-                for c, x in enumerate(row):
-                    if x:
-                        out[soff + c] = rat_to_str(x)
-        else:
-            x = rat_to_str(e)
-            for r in range(src.dim(sl)):
-                rows[doff + r][soff + r] = x
-    return rows
+    """The row-major array of m, written from its sparse rows: "0" off their support."""
+    out = [["0"] * m.src.total for _ in range(m.dst.total)]
+    for line, row in zip(out, m.sparse_rows()):
+        for c, x in row.items():
+            line[c] = rat_to_str(x)
+    return out
 
 
 def svb_to_doc(V: SimpVB) -> dict:

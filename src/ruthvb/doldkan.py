@@ -19,12 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ValidationError
-from .exactla import Fr, ONE, RatMat, Subspace, solve_matrix
+from .exactla import Fr, ONE, RatMat, Subspace, solve_matrix, sparse_rank
 from .graded import BlockMap, Grading
 from .groupoid import POINT
 from .ordmaps import zero_mono_masks
 from .sdp import MaskBundle
-from .simplicial import horn_dim, horn_map_dense
+from .simplicial import horn_dim
 from .svb import Cleavage, SimpVB, _face_closures, relative_horn_kernel
 
 
@@ -261,9 +261,7 @@ def degenerate_span(X: SimpVB, n: int) -> Subspace:
         return Subspace.zero(g.total)
     rows = []
     for j in range(n):
-        dense = X.deg(n - 1, j).to_dense()
-        for c in range(dense.cols):
-            rows.append([dense.data[r][c] for r in range(dense.rows)])
+        rows.extend(X.deg(n - 1, j).to_dense().transpose().data)
     return Subspace.from_rows(g.total, rows)
 
 
@@ -355,11 +353,10 @@ def check_unique_flat_cleavage(X: SimpVB) -> FlatCleavageReport:
     horn_iso = []
     for n in range(1, X.L + 1):
         D = spans[n]
-        basis = D.mat.transpose()
         for k in range(n):
             hd = horn_dim(X, n, k, None)
-            stacked = horn_map_dense(X, n, k, None)
-            rk = (stacked @ basis).rank()
+            K = relative_horn_kernel(X, n, k, None)  # rank of h_k on D is dim(D + K) - dim K
+            rk = sparse_rank(K.rows + D.rows) - K.dim
             ok = rk == D.dim == hd
             horn_iso.append(LevelCheck(n, k, ok, f"rank {rk}, dim D {D.dim}, horn {hd}"))
     flatness = []

@@ -140,9 +140,6 @@ class RatMat:
     def is_zero(self) -> bool:
         return all(not a for row in self.data for a in row)
 
-    def row(self, i) -> tuple[Fraction, ...]:
-        return tuple(self.data[i])
-
     def col(self, j) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)
 

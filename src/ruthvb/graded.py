@@ -12,8 +12,9 @@ it is not; no stored block is zero.  Transports therefore compose and compare
 in native integer arithmetic, and every result stays an exact rational.
 
 A BlockMap carries two write-once caches read off its blocks: its sparse rows
-(sparse_rows) and its blocks grouped by target label (the index compose reads
-on its right operand, filled on first use).  So blocks must never change after
+(sparse_rows, the one read from blocks to coordinates: apply, to_dense and the
+document writer go through it) and its blocks grouped by target label (the
+index compose reads on its right operand).  So blocks must never change after
 construction.
 """
 
@@ -57,9 +58,6 @@ class Grading:
     @property
     def total(self) -> int:
         return self._total
-
-    def index(self, label) -> int:
-        return self._index[label]
 
     def dim(self, label) -> int:
         return self._dims[label]
@@ -232,9 +230,7 @@ class BlockMap:
     def from_dense(src: Grading, dst: Grading, mat: RatMat) -> BlockMap:
         if (mat.rows, mat.cols) != (dst.total, src.total):
             raise DimensionMismatch("dense matrix does not match gradings")
-        return BlockMap.from_rows(
-            src, dst, [[(c, x) for c, x in enumerate(row) if x] for row in mat.data]
-        )
+        return BlockMap.from_rows(src, dst, [row.items() for row in mat._sparse_rows()])
 
     @staticmethod
     def from_rows(src: Grading, dst: Grading, rows) -> BlockMap:
@@ -376,39 +372,13 @@ class BlockMap:
     def apply(self, vec) -> tuple[Fraction, ...]:
         if len(vec) != self.src.total:
             raise DimensionMismatch("vector length does not match source grading")
-        out = [ZERO] * self.dst.total
-        for (dl, sl), e in self.blocks.items():
-            soff = self.src.offset(sl)
-            doff = self.dst.offset(dl)
-            si = self.src.dim(sl)
-            piece = vec[soff : soff + si]
-            if type(e) is not RatMat:
-                for r in range(si):
-                    if piece[r]:
-                        out[doff + r] += e * piece[r]
-            else:
-                for r, row in enumerate(e.data):
-                    s = ZERO
-                    for a, x in zip(row, piece):
-                        if a and x:
-                            s += a * x
-                    if s:
-                        out[doff + r] += s
-        return tuple(out)
+        return tuple(sum((a * vec[c] for c, a in row.items()), ZERO) for row in self.sparse_rows())
 
     def to_dense(self) -> RatMat:
         out = RatMat.zeros(self.dst.total, self.src.total)
-        for (dl, sl), e in self.blocks.items():
-            soff = self.src.offset(sl)
-            doff = self.dst.offset(dl)
-            si = self.src.dim(sl)
-            if type(e) is not RatMat:
-                e = Fraction(e)
-                for r in range(si):
-                    out.data[doff + r][soff + r] = e
-            else:
-                for r, row in enumerate(e.data):
-                    out.data[doff + r][soff : soff + si] = row[:]
+        for dense, row in zip(out.data, self.sparse_rows()):
+            for c, a in row.items():
+                dense[c] = Fraction(a)
         return out
 
     def sparse_rows(self) -> list[dict[int, Scalar]]:
@@ -417,19 +387,14 @@ class BlockMap:
             return self._rows
         rows: list[dict[int, Scalar]] = [dict() for _ in range(self.dst.total)]
         for (dl, sl), e in self.blocks.items():
-            soff = self.src.offset(sl)
-            doff = self.dst.offset(dl)
-            si = self.src.dim(sl)
+            soff, doff = self.src.offset(sl), self.dst.offset(dl)
             # blocks sharing a row have distinct source labels, hence disjoint columns
             if type(e) is not RatMat:
-                for r in range(si):
+                for r in range(self.src.dim(sl)):
                     rows[doff + r][soff + r] = e
             else:
-                for r, row in enumerate(e.data):
-                    tgt = rows[doff + r]
-                    for c, a in enumerate(row):
-                        if a:
-                            tgt[soff + c] = int(a) if a.denominator == 1 else a
+                for r, row in enumerate(e._sparse_rows()):
+                    rows[doff + r].update({soff + c: a for c, a in row.items()})
         self._rows = rows
         return rows
 

@@ -263,10 +263,3 @@ def horn_dim(fc, n: int, k: int, key) -> int:
         fc._horn_dims[memo] = d
     return d
 
-
-def horn_map_dense(fc, n: int, k: int, key):
-    """Stacked faces (j != k) as one dense matrix fiber(n,key) -> product of faces."""
-    from .exactla import RatMat
-
-    mats = [fc.face(n, j, key).to_dense() for j in range(n + 1) if j != k]
-    return RatMat.vstack(mats)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NoSolutionError, ValidationError
-from .exactla import Fr, RatMat, left_solver, solve_matrix
+from .exactla import Fr, RatMat, left_solver, solve_matrix, sparse_rank
 from .graded import BlockMap, Grading
 from .groupoid import NerveSimplex
 from .ordmaps import mask_to_tuple
@@ -338,9 +338,9 @@ def roundtrip_bundle(ctx: SplitContext) -> tuple[Ruth, RoundtripReport]:
     top = ctx.L - 1
     for n in range(top + 1):
         for s in G.nerve_level(n):
-            dense = phi.at(n, s).to_dense()
+            bm = phi.at(n, s)
             checked += 1
-            if dense.rows != dense.cols or dense.rank() != dense.rows:
+            if bm.src.total != bm.dst.total or sparse_rank(bm.sparse_rows()) != bm.dst.total:
                 invertible_ok = False
                 fail("invertible", n, G.simplex_index(s))
             for ok, witness in _intertwinings(phi, n, s, top):
@@ -358,14 +358,10 @@ def roundtrip_bundle(ctx: SplitContext) -> tuple[Ruth, RoundtripReport]:
                     cleavage_ok = False
                     fail("cleavage-dim", n, G.simplex_index(s))
                 elif lam:
-                    Cb = ctx.C.subspace(n, s).mat.transpose()
-                    ioff = wg.offset(iota)
-                    img = dense @ Cb
-                    for r in range(ioff, ioff + lam):
-                        if any(img.data[r]):
-                            cleavage_ok = False
-                            fail("cleavage-image", n, G.simplex_index(s))
-                            break
+                    top_part = BlockMap.projection(wg, iota).compose(bm)
+                    if any(any(top_part.apply(v)) for v in ctx.C.subspace(n, s).mat.data):
+                        cleavage_ok = False
+                        fail("cleavage-image", n, G.simplex_index(s))
     return R, RoundtripReport(simplicial_ok, invertible_ok, cleavage_ok, checked, failures)
 
 

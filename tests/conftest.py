@@ -79,6 +79,11 @@ def _unitriangular_inverse(P: RatMat) -> RatMat:
     return inv
 
 
+def horn_map_dense(fc, n: int, k: int, key) -> RatMat:
+    """Dense reference: the faces d_j, j != k, stacked as one matrix fiber(n, key) -> product of faces."""
+    return RatMat.vstack([fc.face(n, j, key).to_dense() for j in range(n + 1) if j != k])
+
+
 def object_signs(G: FinGroupoid, rng: random.Random):
     return [Fr(rng.choice([1, -1, 2, 1, 1])) for _ in range(G.n_objects)]
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_chain_complex
+from conftest import horn_map_dense, random_chain_complex
 from ruthvb.documents import canonical_dumps
 from ruthvb.doldkan import (
     ChainComplex,
@@ -29,7 +29,6 @@ from ruthvb.ordmaps import zero_mono_masks
 from ruthvb.simplicial import (
     face_kernel,
     horn_dim,
-    horn_map_dense,
     verify_simplicial_identities,
 )
 from ruthvb.svb import Cleavage, SimpVB, _face_rows, _prefix_rows
@@ -148,6 +147,22 @@ def test_check_unique_flat_cleavage():
         X = dk(Y, Y.max_degree + 2)
         rep = check_unique_flat_cleavage(X)
         assert rep.ok
+
+
+def test_horn_iso_details_match_dense_reference():
+    """Each horn-iso rank is rank(h_k restricted to D), read off the dense horn map."""
+    rng = random.Random(3)
+    for _ in range(3):
+        Y = random_chain_complex(rng, max_degree=3, max_dim=2)
+        X = dk(Y, Y.max_degree + 2)
+        expect = []
+        for n in range(1, X.L + 1):
+            D = degenerate_span(X, n)
+            for k in range(n):
+                rk = (horn_map_dense(X, n, k, None) @ D.mat.transpose()).rank()
+                expect.append((n, k, f"rank {rk}, dim D {D.dim}, horn {horn_dim(X, n, k, None)}"))
+        rep = check_unique_flat_cleavage(X)
+        assert [(c.level, c.k, c.detail) for c in rep.horn_iso] == expect
 
 
 def _reference_flat_witness(X, spans, n):

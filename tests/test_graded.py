@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ruthvb.documents import _block_map_to_json, rat_to_str
 from ruthvb.errors import DimensionMismatch
 from ruthvb.exactla import RatMat
 from ruthvb.graded import BlockMap, Grading, _as_scalar
@@ -193,6 +194,67 @@ def test_block_algebra_matches_dense(data):
     rows = f.sparse_rows()
     assert all(v for r in rows for v in r.values())
     assert [[Fr(r.get(j, 0)) for j in range(ga.total)] for r in rows] == F.data
+
+
+def _reference_dense(m: BlockMap) -> list[list[Fr]]:
+    """m as dense rows, read block by block: the reference for every coordinate reader."""
+    out = [[Fr(0)] * m.src.total for _ in range(m.dst.total)]
+    for (dl, sl), e in m.blocks.items():
+        doff, soff = m.dst.offset(dl), m.src.offset(sl)
+        if type(e) is RatMat:
+            for r, row in enumerate(e.data):
+                out[doff + r][soff : soff + e.cols] = row
+        else:
+            for r in range(m.src.dim(sl)):
+                out[doff + r][soff + r] = Fr(e)
+    return out
+
+
+def assert_readers_agree(m: BlockMap, vec):
+    """apply, to_dense, sparse_rows and the document writer read the same coordinates."""
+    ref = _reference_dense(m)
+    dense = m.to_dense()
+    assert (dense.rows, dense.cols) == (m.dst.total, m.src.total)
+    assert dense.data == ref
+    assert all(type(x) is Fr for row in dense.data for x in row)
+    rows = m.sparse_rows()
+    assert [{c: x for c, x in enumerate(row) if x} for row in ref] == rows
+    assert all(type(x) is int or (type(x) is Fr and x.denominator != 1) for r in rows for x in r.values())
+    assert _block_map_to_json(m) == [[rat_to_str(x) for x in row] for row in ref]
+    out = m.apply(vec)
+    assert out == tuple(sum((a * x for a, x in zip(row, vec)), Fr(0)) for row in ref)
+    assert all(type(x) is Fr for x in out)
+
+
+def test_coordinate_readers_agree_on_every_block_form():
+    """Int and Fraction scalars, integral and non-integral dense blocks,
+    zero-dimensional labels, and 0 x c and r x 0 maps."""
+    src = Grading(("a", "z", "b"), (2, 0, 3))
+    dst = Grading(("x", "y", "w"), (2, 3, 0))
+    half = RatMat.from_rows([[Fr(1, 2), 0], [0, 1], [Fr(-3, 4), 2]])
+    m = BlockMap(src, dst, {
+        ("x", "a"): 3,
+        ("y", "b"): Fr(1, 2),
+        ("x", "b"): RatMat.from_rows([[1, 0, -2], [0, 0, 4]]),
+        ("y", "a"): half,
+        ("w", "a"): RatMat.zeros(0, 2),
+        ("x", "z"): RatMat.zeros(2, 0),
+    })
+    assert set(m.blocks) == {("x", "a"), ("y", "b"), ("x", "b"), ("y", "a")}
+    assert_readers_agree(m, (1, Fr(2, 3), -1, 0, 5))
+    empty = Grading(("w",), (0,))
+    for g_src, g_dst, vec in ((src, empty, (1, 2, 3, 4, 5)), (empty, dst, ()), (empty, empty, ())):
+        assert_readers_agree(BlockMap.zero(g_src, g_dst), vec)
+    assert _block_map_to_json(BlockMap.zero(empty, dst)) == [[] for _ in range(5)]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_coordinate_readers_agree(data):
+    ga, gb = data.draw(gradings(3)), data.draw(gradings(3))
+    m = block_maps(data, ga, gb)
+    vec = tuple(data.draw(st.sampled_from(SCALARS + DENSE_ENTRIES)) for _ in range(ga.total))
+    assert_readers_agree(m, vec)
 
 
 def test_cancellations_keep_storage_rule():

@@ -12,6 +12,7 @@ from ruthvb.ruth import (
     GaugeData,
     GradedBundle,
     Ruth,
+    RuthMorphism,
     chain_complex_ruth,
     check_morphism,
     check_rh1,
@@ -151,14 +152,11 @@ def test_morphism_identity_and_perturbation():
     ident = identity_morphism(R)
     assert check_morphism(ident).ok
     s = next(t for t in G.nerve_level(1) if not G.is_degenerate(t))
-    bad = identity_morphism(R)
-    bad.ops[(1, s)] = {0: RatMat.from_rows([[1]])}
+    bad = RuthMorphism(R, R, {**identity_morphism(R).ops, (1, s): {0: RatMat.from_rows([[1]])}})
     # a lone degree-one operator breaks the mixed coherence somewhere
     rep = check_morphism(bad)
     assert not rep.ok
     # wrong-shaped blocks are rejected outright
-    from ruthvb.ruth import RuthMorphism
-
     with pytest.raises(ValidationError):
         RuthMorphism(R, R, {(1, s): {1: RatMat.from_rows([[1]])}})
 

@@ -233,6 +233,13 @@ def test_roundtrip_on_twisted_cleavage():
     assert check_morphism(chi.as_morphism(R, R2)).ok
 
 
+def _roundtrip_perturbed(ctx, n, target, change):
+    """roundtrip_bundle with the splitting map over (n, target) replaced by change(map)."""
+    unperturbed = ctx.phi_block
+    ctx.phi_block = lambda m, s: change(unperturbed(m, s)) if (m, s) == (n, target) else unperturbed(m, s)
+    return roundtrip_bundle(ctx)
+
+
 def test_roundtrip_reports_broken_intertwining():
     """The splitting map doubled over one nondegenerate top-level simplex breaks
     φ d_i = d_i φ at each of its faces and nothing else: the tower, the
@@ -243,20 +250,43 @@ def test_roundtrip_reports_broken_intertwining():
     assert ref.ok
     top = B.L - 1
     target = next(s for s in B.base.nerve_level(top) if not B.base.is_degenerate(s))
-    ctx = SplitContext(B, Cchi)
-    unperturbed = ctx.phi_block
-
-    def doubled(n, s):
-        bm = unperturbed(n, s)
-        return bm.scale(2) if (n, s) == (top, target) else bm
-
-    ctx.phi_block = doubled
-    R2, rep = roundtrip_bundle(ctx)
+    R2, rep = _roundtrip_perturbed(SplitContext(B, Cchi), top, target, lambda bm: bm.scale(2))
     assert R2 == R_ref
     assert not rep.simplicial_ok and rep.invertible_ok and rep.cleavage_ok
     idx = B.base.simplex_index(target)
     assert rep.failures == [("face", top, i, idx) for i in range(top + 1)]
     assert rep.checked == ref.checked
+
+
+LEVEL2_TOP = (1 << 3) - 1  # the top label at level 2
+
+
+@pytest.mark.parametrize("change, broken", [
+    (lambda bm: BlockMap(bm.src, bm.dst, {k: e for k, e in bm.blocks.items() if k != (LEVEL2_TOP,) * 2}),
+     "invertible"),
+    (lambda bm: bm + BlockMap(bm.src, bm.dst, {(LEVEL2_TOP, 1): 1}), "cleavage-image"),
+], ids=["drop-top-block", "add-vertex-to-top-block"])
+def test_roundtrip_reports_broken_splitting_map(change, broken):
+    """Over one nondegenerate level-2 simplex, dropping the top block makes φ
+    singular, and adding a block from the vertex label into the top label
+    carries the cleavage off the canonical one; each breaks only its check.
+
+    A strict tower with degrees 0..2 at L = 3 has certified cap 1, so
+    extraction reads no nondegenerate level-2 simplex, and it has no operator
+    above m = 1: the tower comes back whatever φ does there.  The top label
+    at level 2 has dimension 1, so the cleavage-image check runs there.
+    """
+    R = random_strict_ruth(pair_groupoid(2), random.Random(151), (1, 1, 1))
+    B = build_sdp(R, 3)
+    R_ref, ref = roundtrip_bundle(SplitContext(B, B.canonical_cleavage()))
+    assert ref.ok and R_ref == R
+    target = next(s for s in B.base.nerve_level(2) if not B.base.is_degenerate(s))
+    R2, rep = _roundtrip_perturbed(SplitContext(B, B.canonical_cleavage()), 2, target, change)
+    assert R2 == R
+    assert rep.simplicial_ok
+    assert (rep.invertible_ok, rep.cleavage_ok) == (broken != "invertible", broken != "cleavage-image")
+    assert rep.failures == [(broken, 2, B.base.simplex_index(target))]
+    assert rep.checked == ref.checked == 68
 
 
 def test_roundtrip_on_counterexample_canonical():

@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import _staircase_boundary, random_gauge, random_strict_ruth
+from conftest import _staircase_boundary, horn_map_dense, random_gauge, random_strict_ruth
 from ruthvb.documents import canonical_dumps
 from ruthvb.doldkan import ChainComplex, dk
 from ruthvb.exactla import RatMat, Subspace, kernel, sparse_rank
@@ -24,7 +24,6 @@ from ruthvb.simplicial import (
     face_kernel,
     horn_bounds,
     horn_dim,
-    horn_map_dense,
     horn_system,
     verify_simplicial_identities,
 )
@@ -128,7 +127,7 @@ def test_fibration_equivalence_both_sides():
         for s in B.base.nerve_level(1)
         for i in (0, 1)
     )
-    from ruthvb.simplicial import horn_dim, horn_map_dense
+    from ruthvb.simplicial import horn_dim
 
     kan = all(
         horn_map_dense(B, n, k, s).rank() == horn_dim(B, n, k, s)
