@@ -16,7 +16,6 @@ import time
 
 from .errors import RuthvbError, ValidationError
 from . import documents as docs
-from .gallery import SCENARIOS, run_scenarios
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -187,6 +186,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .gallery import SCENARIOS, run_scenarios
+
     names = list(SCENARIOS) if args.name in (None, "all") else [args.name]
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:

@@ -5,7 +5,8 @@ subspaces held as their reduced row echelon form in sparse rows.  There is
 one eliminator: a sparse forward elimination over {column: coefficient}
 rows, with integral entries kept as ints, and one back-substitution.  It
 decides the rank, RREF, kernel, inverse and solvers of dense matrices as
-well as the large but very sparse systems produced by face-map constraints.
+well as the large but very sparse systems produced by face-map constraints,
+and kernels restricted to a subspace, eliminated in its own coordinates.
 Both passes update rows through one routine, _sub_scaled.
 No floating point anywhere; equality of subspaces is equality of
 representations.  A Subspace stores only tuples, so it cannot change after
@@ -320,6 +321,39 @@ class Subspace:
 def kernel(A: RatMat) -> Subspace:
     """Exact null space {x : A x = 0} with canonical RREF basis."""
     return Subspace.span(A.cols, sparse_kernel_basis(A._sparse_rows(), A.cols))
+
+
+def restricted_kernel(S: Subspace, rows) -> Subspace:
+    """{x in S : rows x = 0}, canonical; rows are {column: coefficient} dicts.
+
+    Each row is read in S's basis coordinates, eliminated there in dim S
+    variables, and the kernel's vectors are mapped back through S's basis.
+    A zero S, or rows that vanish on S, give S back.
+    """
+    if not S.rows:
+        return S
+    cols: dict = {}  # column -> {basis row: coefficient}
+    for i, row in enumerate(S.rows):
+        for v, c in row:
+            cols.setdefault(v, {})[i] = c
+    local = []
+    for row in rows:
+        y: dict = {}
+        for v, a in row.items():
+            if v in cols:
+                _sub_scaled(y, cols[v], -a)
+        if y:
+            local.append(y)
+    if not local:
+        return S
+    basis_rows = [dict(row) for row in S.rows]
+    basis = []
+    for y in sparse_kernel_basis(local, S.dim):
+        x: dict = {}
+        for i, c in y.items():
+            _sub_scaled(x, basis_rows[i], -c)
+        basis.append(x)
+    return Subspace.span(S.ambient, basis)
 
 
 def preimage(A: RatMat, S: Subspace) -> Subspace:

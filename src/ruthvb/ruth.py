@@ -19,6 +19,7 @@ of a simplex goes through convolve, on graded's block arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import ValidationError
 from .exactla import Fr, RatMat, _scalar
@@ -72,7 +73,9 @@ class _OperatorTable:
     entry being graded's stored form of a nonzero block: an int (a Fraction
     when not integral) c for c times the identity, else a dense RatMat.  An
     absent block is zero and each block has one stored form, so two tables
-    with the same bundles are equal exactly when their ops are.
+    with the same bundles are equal exactly when their ops are.  ops and
+    each inner table are read-only views of _ops, which only _store writes
+    and this module reads.
     """
 
     shift = 0
@@ -80,7 +83,9 @@ class _OperatorTable:
     def __init__(self, src: GradedBundle, tgt: GradedBundle, operators):
         self.G = src.G
         self._src, self._tgt = src, tgt
-        self.ops: dict[tuple[int, NerveSimplex], dict] = {}
+        self._ops: dict[tuple[int, NerveSimplex], dict] = {}
+        self._views: dict[tuple[int, NerveSimplex], MappingProxyType] = {}
+        self.ops = MappingProxyType(self._views)
         for (m, s), table in operators.items():
             self._store(m, s, table)
 
@@ -105,11 +110,12 @@ class _OperatorTable:
             if e is not None:
                 clean[deg] = e
         if clean:
-            self.ops[(m, s)] = clean
+            self._ops[(m, s)] = clean
+            self._views[(m, s)] = MappingProxyType(clean)
 
     def entry(self, m: int, s: NerveSimplex, src_deg: int):
         """The stored (m, simplex) block on degree src_deg, or None when it is zero."""
-        return self.ops.get((m, s), {}).get(src_deg)
+        return self._ops.get((m, s), {}).get(src_deg)
 
     def block(self, m: int, s: NerveSimplex, src_deg: int) -> RatMat:
         """The (m, simplex) block on degree src_deg as a dense matrix; zero when absent."""
@@ -121,10 +127,10 @@ class _OperatorTable:
 
     def operator(self, m: int, s: NerveSimplex) -> dict:
         """The stored entries at (m, simplex) by source degree."""
-        return dict(self.ops.get((m, s), {}))
+        return dict(self._ops.get((m, s), {}))
 
     def equal_operators(self, other: _OperatorTable) -> bool:
-        return self.ops == other.ops
+        return self._ops == other._ops
 
 
 def _identity_ops(E: GradedBundle):
@@ -182,10 +188,10 @@ def convolve(outer: _OperatorTable, inner: _OperatorTable, m: int, s: NerveSimpl
     G = inner.G
     out: dict = {}
     for r in range(m + 1):
-        first = inner.ops.get((r, G.restrict(s, sigma(r, m))))
+        first = inner._ops.get((r, G.restrict(s, sigma(r, m))))
         if not first:
             continue
-        second = outer.ops.get((m - r, G.restrict(s, tau(m - r, m))))
+        second = outer._ops.get((m - r, G.restrict(s, tau(m - r, m))))
         if not second:
             continue
         products = {}
@@ -201,7 +207,7 @@ def face_sum(X: _OperatorTable, m: int, s: NerveSimplex) -> dict:
     """Sum over the inner faces i = 1..m-1 of (-1)^i X_{m-1}(d_i s), degreewise."""
     out: dict = {}
     for i in range(1, m):
-        _acc(out, X.ops.get((m - 1, X.G.face(s, i)), {}), -1 if i % 2 else 1)
+        _acc(out, X._ops.get((m - 1, X.G.face(s, i)), {}), -1 if i % 2 else 1)
     return out
 
 

@@ -10,6 +10,13 @@ tuple of face maps.  Where a bundle hands several simplices the same map
 object (one transport per pair of gradings), they share one computation;
 where it does not, each simplex pays as before.
 
+In a mask-graded bundle the positive faces are index transports and only
+d_0 carries tower data, so a face kernel whose face set holds 0 and another
+face is d_0 restricted to the kernel of the other faces: that kernel is
+shared per grading, and only d_0's rows are eliminated per simplex.  The
+rule stops at face 0; chaining every face set onto its lowest face slowed
+bundles over POINT, whose positive-face chains share nothing.
+
 Horn dimensions are certified between two kernel counts (see horn_dim);
 a horn system is built and eliminated only at level 1 and where the counts
 disagree.
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import Subspace, _sub_scaled, sparse_kernel_basis, sparse_rank
+from .exactla import Subspace, _sub_scaled, restricted_kernel, sparse_kernel_basis, sparse_rank
 from .graded import BlockMap
 
 
@@ -157,20 +164,29 @@ def face_kernel(fc, n: int, key, face_indices) -> Subspace:
     (immutable) Subspace.  Behind that table sits one keyed by the fiber's
     grading and the face maps themselves, so simplices that share their
     maps (every positive face of a uniform bundle) share one elimination.
+
+    A face set holding 0 and another face is d_0's kernel restricted to the
+    kernel of the other faces, which that table shares per grading; only
+    d_0's rows are eliminated per simplex.  Other face sets are eliminated
+    in one system: chaining the lowest face onto the rest pays only where
+    the rest is shared, and positive-face chains over POINT share nothing.
     """
-    memo = (n, key, tuple(face_indices))
+    faces = tuple(face_indices)
+    memo = (n, key, faces)
     sub = fc._kernels.get(memo)
     if sub is None:
         g = fc.grading(n, key)
-        maps = [fc.face(n, i, key) for i in memo[2]]
+        maps = [fc.face(n, i, key) for i in faces]
         shared = (n, id(g), *map(id, maps))
         sub = fc._kernels_by_maps.get(shared)
         if sub is None:
-            rows = []
-            for m in maps:
-                rows.extend(m.sparse_rows())
-            basis = sparse_kernel_basis([r for r in rows if r], g.total)
-            sub = fc._kernels_by_maps[shared] = Subspace.span(g.total, basis)
+            if 0 in faces and len(faces) > 1:
+                rest = face_kernel(fc, n, key, [i for i in faces if i])
+                sub = restricted_kernel(rest, fc.face(n, 0, key).sparse_rows())
+            else:
+                rows = [r for m in maps for r in m.sparse_rows() if r]
+                sub = Subspace.span(g.total, sparse_kernel_basis(rows, g.total))
+            fc._kernels_by_maps[shared] = sub
         fc._kernels[memo] = sub
     return sub
 

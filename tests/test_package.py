@@ -21,3 +21,13 @@ def test_import_binds_every_public_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_gallery_out():
+    """`import ruthvb.cli` does not load the gallery: only `examples` reads it,
+    and every other command would compile it for nothing."""
+    code = "import sys, ruthvb.cli\nprint('ruthvb.gallery' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ruthvb.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

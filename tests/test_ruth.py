@@ -145,6 +145,25 @@ def test_tower_blocks_stored_as_entries():
     assert identity_morphism(T).ops[(0, NerveSimplex(0, ()))] == {0: 1, 1: 1}
 
 
+def test_operator_tables_read_only():
+    """ops and its inner tables refuse assignment, on towers, morphisms and
+    gauges alike; rebuilding from ops and table equality still work."""
+    G = pair_groupoid(2)
+    rng = random.Random(4)
+    R = random_strict_ruth(G, rng, (1, 1))
+    psi = random_gauge(R.E, rng)
+    s = next(t for t in G.nerve_level(1) if not G.is_degenerate(t))
+    for table in (R, identity_morphism(R), psi):
+        key = next(iter(table.ops))
+        with pytest.raises(TypeError):
+            table.ops[(1, s)] = {0: 1}
+        with pytest.raises(TypeError):
+            table.ops[key][0] = 1
+    assert Ruth(R.E, R.ops) == R and Ruth(R.E, dict(R.ops)) == R
+    T = twisted_ruth_direct(R, psi)
+    assert Ruth(T.E, {**T.ops}) == T
+
+
 def test_morphism_identity_and_perturbation():
     G = pair_groupoid(2)
     rng = random.Random(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction as Fr
 from itertools import accumulate
@@ -7,7 +8,7 @@ from itertools import accumulate
 import pytest
 
 from conftest import _staircase_boundary, horn_map_dense, random_gauge, random_strict_ruth
-from ruthvb.documents import canonical_dumps
+from ruthvb.documents import canonical_dumps, svb_from_doc, svb_to_doc
 from ruthvb.doldkan import ChainComplex, dk
 from ruthvb.exactla import RatMat, Subspace, kernel, sparse_rank
 from ruthvb.graded import BlockMap
@@ -805,3 +806,66 @@ def test_kernels_and_horns_depend_on_k(name):
                 assert kers[k] == kernel(horn_map_dense(V, n, k, s))
                 assert horn_dim(V, n, k, s) == _reference_horn_dim(V, n, k, s)
     assert differ
+
+
+# ---------------------------------------------------------------------------
+# Face kernels through d_0: d_0 restricted to the positive-face kernel.
+# ---------------------------------------------------------------------------
+
+
+def _dense_face_kernel(V, n, s, faces):
+    return kernel(RatMat.vstack([V.face(n, i, s).to_dense() for i in faces]))
+
+
+def _dense_positive_face(B, n, i, s):
+    """B with face (n, i) over s given a second entry in its last nonzero row,
+    on the last column that no row reads, so ker d_i is no coordinate subspace."""
+    face = B.face(n, i, s)
+    hit = {c for row in face.sparse_rows() for c in row}
+    c2 = max(c for c in range(face.src.total) if c not in hit)
+    r = max(r for r, row in enumerate(face.sparse_rows()) if row)
+    extra = BlockMap.from_rows(face.src, face.dst,
+                               [[(c2, Fr(1, 2))] if q == r else [] for q in range(face.dst.total)])
+    moved = face + extra
+
+    def faces(m, j, t):
+        return moved if (m, j, t) == (n, i, s) else B.face(m, j, t)
+
+    return SimpVB(B.base, B.L, B.grading, faces, B.deg)
+
+
+def _d0_kernel_bundles(kind, name):
+    # at N <= 1 every such kernel on levels 1-3 is zero; N = 2 has nonzero
+    # ones that change with the face set
+    for N in (2,) if kind == "dense-face" else (0, 1, 2):
+        B = build_sdp(_twisted_tower(builtin_groupoids()[name], (1,) * (N + 1), 11 + N), 3,
+                      validate=False)
+        if kind == "loaded":
+            B = svb_from_doc(svb_to_doc(B))
+        elif kind == "dense-face":
+            s0 = B.base.nerve_level(3)[-1]
+            B = _dense_positive_face(B, 3, 1, s0)
+            assert any(len(row) > 1 for row in face_kernel(B, 3, s0, [1]).rows)
+        yield B
+
+
+@pytest.mark.parametrize("kind, name",
+                         [("built", b) for b in GATE_BASES] + [("loaded", b) for b in GATE_BASES]
+                         + [("dense-face", "Z/2"), ("dense-face", "pair(2)")])
+def test_face_kernels_through_d0_match_dense(kind, name):
+    """Every face kernel whose face set holds 0 and another face, levels 1-3,
+    equals the null space of its stacked dense faces: on built bundles, whose
+    positive faces are transports shared per grading; on loaded ones, where
+    no two simplices share a map; and where a positive face has a row with
+    two entries, so the kernel d_0 is restricted to is no coordinate subspace."""
+    nonzero = 0
+    for V in _d0_kernel_bundles(kind, name):
+        for n in range(1, 4):
+            sets = [(0, *rest) for size in range(1, n + 1)
+                    for rest in itertools.combinations(range(1, n + 1), size)]
+            for s in V.base.nerve_level(n):
+                for faces in sets:
+                    got = face_kernel(V, n, s, faces)
+                    assert got == _dense_face_kernel(V, n, s, faces), (kind, n, s, faces)
+                    nonzero += got.dim > 0
+    assert nonzero
