@@ -6,6 +6,21 @@ per instance; their enumeration order is ascending lexicographic in the arrow
 id tuple (g_1, ..., g_n) and is part of the public contract, since every
 bundle fiber downstream is keyed by it.  POINT is the one-simplex nerve over
 which simplicial vector spaces live.
+
+Each groupoid holds one canonical NerveSimplex object per simplex value: an
+intern table keyed by (x0, arrows) hands out every simplex that nerve_level,
+unit_simplex, face, degeneracy and restrict_vertices return, so every table
+keyed by simplices finds its key by identity.  A canonical simplex stores,
+once asked, the tuple of its canonical faces and the tuple of its canonical
+degeneracies, so face and degeneracy are one ownership test and one tuple
+index; restrict_vertices deletes the missing vertices through those face
+tables from the top down.  A simplex carries its groupoid's ownership tag,
+an opaque token and not the groupoid itself, so nerves hold no reference
+back to their groupoid; a simplex that another groupoid (or a caller)
+built is first looked up by value in this groupoid's intern table and never
+reads another groupoid's tables.  Interning creates only the simplices asked
+for: it never enumerates a nerve level.  The tables are slots, not dataclass
+fields, so equality, hashing and repr read (x0, arrows) alone.
 """
 
 from __future__ import annotations
@@ -20,15 +35,25 @@ from .ordmaps import OrdMap
 class NerveSimplex:
     """A chain of composable arrows; the empty chain is an object."""
 
+    # _owner, _faces and _degs are filled only by the groupoid that interned
+    # the simplex (see the module docstring); slots keep them out of the fields
+    __slots__ = ("x0", "arrows", "_hash", "_owner", "_faces", "_degs")
+
     x0: int
     arrows: tuple[int, ...]
 
     def __init__(self, x0: int, arrows: tuple[int, ...]):
         # every bundle table is keyed by simplices: hash the fields once, here
-        self.__dict__.update(x0=x0, arrows=arrows, _hash=hash((x0, arrows)))
+        for name, value in (("x0", x0), ("arrows", arrows), ("_hash", hash((x0, arrows))),
+                            ("_owner", None), ("_faces", None), ("_degs", None)):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # a copy is a fresh, uninterned simplex with the same value
+        return NerveSimplex, (self.x0, self.arrows)
 
     @property
     def level(self) -> int:
@@ -58,6 +83,8 @@ class FinGroupoid:
         )
         self._nerve: dict[int, tuple[NerveSimplex, ...]] = {}
         self._nerve_index: dict[int, dict[NerveSimplex, int]] = {}
+        self._interned: dict[tuple[int, tuple[int, ...]], NerveSimplex] = {}
+        self._tag = object()  # marks the simplices this groupoid interned
         self.validate()
 
     @property
@@ -127,20 +154,48 @@ class FinGroupoid:
         if cached is not None:
             return cached
         if n == 0:
-            level = tuple(NerveSimplex(x, ()) for x in range(self.n_objects))
+            level = tuple(self._intern(x, ()) for x in range(self.n_objects))
         else:
             out = []
             for prev in self.nerve_level(n - 1):
                 tip = self.vertex_obj(prev, n - 1)
                 for g in range(self.n_arrows):
                     if self.arrow_src[g] == tip:
-                        out.append(NerveSimplex(prev.x0, prev.arrows + (g,)))
+                        out.append(self._intern(prev.x0, prev.arrows + (g,)))
             # recursion appends in last-arrow-major order already compatible with
             # ascending lex over (g_1, ..., g_n) because prefixes are sorted
             level = tuple(sorted(out, key=lambda s: s.arrows))
         self._nerve[n] = level
         self._nerve_index[n] = {s: i for i, s in enumerate(level)}
         return level
+
+    def _intern(self, x0: int, arrows: tuple[int, ...]) -> NerveSimplex:
+        """This groupoid's one simplex object with the value (x0, arrows)."""
+        key = (x0, arrows)
+        s = self._interned.get(key)
+        if s is None:
+            s = self._interned[key] = NerveSimplex(x0, arrows)
+            object.__setattr__(s, "_owner", self._tag)
+        return s
+
+    def _face_table(self, s: NerveSimplex) -> tuple[NerveSimplex, ...]:
+        """The canonical faces d_0 s, ..., d_n s of a canonical s, filled once.
+
+        Callers test s._owner against self._tag first: that test is what keeps
+        a simplex reached through another groupoid off this one's tables.
+        """
+        faces = s._faces
+        if faces is None:
+            x0, a = s.x0, s.arrows
+            n = len(a)
+            faces = () if n == 0 else (
+                self._intern(self.arrow_tgt[a[0]], a[1:]),
+                *(self._intern(x0, a[: i - 1] + (self.comp[(a[i], a[i - 1])],) + a[i + 1 :])
+                  for i in range(1, n)),
+                self._intern(x0, a[:-1]),
+            )
+            object.__setattr__(s, "_faces", faces)
+        return faces
 
     def simplex_index(self, s: NerveSimplex) -> int:
         self.nerve_level(s.level)
@@ -172,38 +227,63 @@ class FinGroupoid:
             )
         return self.restrict_vertices(s, theta.images)
 
-    def restrict_vertices(self, s: NerveSimplex, verts: tuple[int, ...]) -> NerveSimplex:
-        """Restrict along the monotone map with the given vertex images."""
-        x0 = self.vertex_obj(s, verts[0])
-        arrows = tuple(
-            self.compose_range(s, verts[i - 1], verts[i]) for i in range(1, len(verts))
-        )
-        return NerveSimplex(x0, arrows)
+    def restrict_vertices(self, s: NerveSimplex, verts) -> NerveSimplex:
+        """Restrict along the monotone map with the given vertex images.
+
+        A strictly increasing tuple deletes the missing vertices through the
+        face tables from the top down, as SimpVB.restrict_map does; a tuple
+        that repeats a vertex is composed arrow by arrow.  An empty,
+        decreasing or out-of-range tuple raises ValueError.
+        """
+        if s._owner is not self._tag:
+            s = self._intern(s.x0, s.arrows)
+        n = len(s.arrows)
+        j = len(verts) - 1
+        if j >= 0 and 0 <= verts[j] <= n:
+            # the last vertex is kept, so no deletion reaches a 0-simplex
+            t = s
+            for v in range(n, -1, -1):
+                if j >= 0 and verts[j] == v:
+                    j -= 1
+                else:
+                    t = (t._faces or self._face_table(t))[v]
+            if j < 0:
+                return t
+            # not every vertex was met in turn: verts repeats or is invalid
+            if 0 <= verts[0] and all(a <= b for a, b in zip(verts, verts[1:])):
+                return self._intern(self.vertex_obj(s, verts[0]), tuple(
+                    self.compose_range(s, a, b) for a, b in zip(verts, verts[1:])))
+        raise ValueError(f"vertex tuple {tuple(verts)!r} is not a nonempty nondecreasing "
+                         f"tuple in 0..{n}")
 
     def face(self, s: NerveSimplex, i: int) -> NerveSimplex:
-        n = s.level
-        if not 0 <= i <= n:
-            raise ValueError(f"face index {i} outside 0..{n}")
-        if i == 0:
-            return NerveSimplex(self.vertex_obj(s, 1), s.arrows[1:])
-        if i == n:
-            return NerveSimplex(s.x0, s.arrows[:-1])
-        merged = self.comp[(s.arrows[i], s.arrows[i - 1])]
-        return NerveSimplex(s.x0, s.arrows[: i - 1] + (merged,) + s.arrows[i + 1 :])
+        if s._owner is not self._tag:
+            s = self._intern(s.x0, s.arrows)
+        faces = s._faces or self._face_table(s)
+        if not 0 <= i < len(faces):
+            raise ValueError(f"face index {i} outside 0..{s.level}" if faces
+                             else "a 0-simplex has no faces")
+        return faces[i]
 
     def degeneracy(self, s: NerveSimplex, j: int) -> NerveSimplex:
-        n = s.level
-        if not 0 <= j <= n:
-            raise ValueError(f"degeneracy index {j} outside 0..{n}")
-        u = self.unit_of_obj[self.vertex_obj(s, j)]
-        return NerveSimplex(s.x0, s.arrows[:j] + (u,) + s.arrows[j:])
+        if s._owner is not self._tag:
+            s = self._intern(s.x0, s.arrows)
+        degs = s._degs
+        if degs is None:
+            x0, a = s.x0, s.arrows
+            degs = tuple(self._intern(x0, a[:p] + (self.unit_of_obj[self.vertex_obj(s, p)],) + a[p:])
+                         for p in range(len(a) + 1))
+            object.__setattr__(s, "_degs", degs)
+        if not 0 <= j < len(degs):
+            raise ValueError(f"degeneracy index {j} outside 0..{s.level}")
+        return degs[j]
 
     def is_degenerate(self, s: NerveSimplex) -> bool:
         return any(self.is_unit(g) for g in s.arrows)
 
     def unit_simplex(self, x: int, n: int) -> NerveSimplex:
         """The totally degenerate n-simplex at object x."""
-        return NerveSimplex(x, (self.unit_of_obj[x],) * n)
+        return self._intern(x, (self.unit_of_obj[x],) * n)
 
     def __repr__(self):
         return f"FinGroupoid({self.name or 'anon'}: {self.n_objects} objects, {self.n_arrows} arrows)"

@@ -161,32 +161,32 @@ def face_kernel(fc, n: int, key, face_indices) -> Subspace:
     """∩ ker d_i over the given face indices, inside fiber(n, key).
 
     Computed once per bundle and face set; every caller gets the same
-    (immutable) Subspace.  Behind that table sits one keyed by the fiber's
-    grading and the face maps themselves, so simplices that share their
-    maps (every positive face of a uniform bundle) share one elimination.
+    (immutable) Subspace.
 
     A face set holding 0 and another face is d_0's kernel restricted to the
-    kernel of the other faces, which that table shares per grading; only
-    d_0's rows are eliminated per simplex.  Other face sets are eliminated
-    in one system: chaining the lowest face onto the rest pays only where
+    kernel of the other faces; only d_0's rows are eliminated per simplex.
+    Every other face set is eliminated in one system, behind a second table
+    keyed by the fiber's grading and the face maps themselves, so simplices
+    that share their maps (every positive face of a uniform bundle) share
+    one elimination.  Chaining the lowest face onto the rest pays only where
     the rest is shared, and positive-face chains over POINT share nothing.
     """
     faces = tuple(face_indices)
     memo = (n, key, faces)
     sub = fc._kernels.get(memo)
     if sub is None:
-        g = fc.grading(n, key)
-        maps = [fc.face(n, i, key) for i in faces]
-        shared = (n, id(g), *map(id, maps))
-        sub = fc._kernels_by_maps.get(shared)
-        if sub is None:
-            if 0 in faces and len(faces) > 1:
-                rest = face_kernel(fc, n, key, [i for i in faces if i])
-                sub = restricted_kernel(rest, fc.face(n, 0, key).sparse_rows())
-            else:
+        if 0 in faces and len(faces) > 1:
+            rest = face_kernel(fc, n, key, [i for i in faces if i])
+            sub = restricted_kernel(rest, fc.face(n, 0, key).sparse_rows())
+        else:
+            g = fc.grading(n, key)
+            maps = [fc.face(n, i, key) for i in faces]
+            shared = (n, id(g), *map(id, maps))
+            sub = fc._kernels_by_maps.get(shared)
+            if sub is None:
                 rows = [r for m in maps for r in m.sparse_rows() if r]
-                sub = Subspace.span(g.total, sparse_kernel_basis(rows, g.total))
-            fc._kernels_by_maps[shared] = sub
+                sub = fc._kernels_by_maps[shared] = Subspace.span(
+                    g.total, sparse_kernel_basis(rows, g.total))
         fc._kernels[memo] = sub
     return sub
 

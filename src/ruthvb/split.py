@@ -52,6 +52,7 @@ class SplitContext:
         self._split_mat: dict = {}
         self._fill_ops: dict = {}
         self._phi: dict = {}
+        self._w_gradings: dict = {}
         if validate == "cleavage":
             rep = check_cleavage(V, C, check_interior=False)
             if not (rep.bijective and rep.normal and rep.weakly_flat):
@@ -202,7 +203,12 @@ class SplitContext:
         return mat
 
     def w_grading(self, n: int, s: NerveSimplex) -> Grading:
-        return sdp_grading(self.E, self.G, n, s)
+        """The mask grading of the model fiber over s, built once per fiber."""
+        key = (n, s)
+        g = self._w_gradings.get(key)
+        if g is None:
+            g = self._w_gradings[key] = sdp_grading(self.E, self.G, n, s)
+        return g
 
     def phi_block(self, n: int, s: NerveSimplex) -> BlockMap:
         """The splitting map as a block map onto the mask-graded model fiber."""
