@@ -12,8 +12,11 @@ Towers, morphisms and gauge data (with psi_0 = id stored) share one table
 type: one block per (m, simplex) and source degree, stored once, when the
 table is built, in the entry form a bundle's faces read (graded's: c for c
 times the identity, else dense), and never when zero.  So an absent block is
-zero and equality is table equality.  Every head/tail sum over the splittings
-of a simplex goes through convolve, on graded's block arithmetic.
+zero and equality is table equality.  Tables are keyed by the groupoid's
+canonical simplices (nerve_level, unit_simplex, face), so every lookup finds
+its key by identity.  Every head/tail sum over the splittings of a simplex
+goes through convolve, on graded's block arithmetic; convolve splits by
+vertex tuples, the head on vertices 0..r and the tail on r..m.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .errors import ValidationError
 from .exactla import Fr, RatMat, _scalar
 from .graded import _densify, _entries_equal, _entry, _entry_add, _entry_mul
 from .groupoid import FinGroupoid, NerveSimplex
-from .ordmaps import sigma, tau
 
 
 class GradedBundle:
@@ -136,8 +138,8 @@ class _OperatorTable:
 def _identity_ops(E: GradedBundle):
     """psi_0 = id on every object, as an operator table."""
     return {
-        (0, NerveSimplex(x, ())): {deg: 1 for deg in E.degrees() if E.dim(x, deg)}
-        for x in range(E.G.n_objects)
+        (0, pt): {deg: 1 for deg in E.degrees() if E.dim(pt.x0, deg)}
+        for pt in E.G.nerve_level(0)
     }
 
 
@@ -181,17 +183,18 @@ def convolve(outer: _OperatorTable, inner: _OperatorTable, m: int, s: NerveSimpl
              alternate: bool = False) -> dict:
     """Sum over r of (+-1)^r outer_{m-r}(tail) ∘ inner_r(head), degreewise.
 
-    head and tail are the first r and last m - r arrows of the m-simplex s;
-    the sign alternates in r only when asked.  Reads the stored tables, so
-    absent (zero) blocks cost nothing.
+    head and tail are the faces of the m-simplex s on the vertices 0..r and
+    r..m, that is its first r and last m - r arrows; the sign alternates in r
+    only when asked.  Reads the stored tables, so absent (zero) blocks cost
+    nothing.
     """
     G = inner.G
     out: dict = {}
     for r in range(m + 1):
-        first = inner._ops.get((r, G.restrict(s, sigma(r, m))))
+        first = inner._ops.get((r, G.restrict_vertices(s, range(r + 1))))
         if not first:
             continue
-        second = outer._ops.get((m - r, G.restrict(s, tau(m - r, m))))
+        second = outer._ops.get((m - r, G.restrict_vertices(s, range(r, m + 1))))
         if not second:
             continue
         products = {}
@@ -235,7 +238,7 @@ def check_rh1(R: Ruth) -> CheckReport:
     rep = CheckReport("rh1")
     G = R.G
     for x in range(G.n_objects):
-        u = NerveSimplex(x, (G.unit_of_obj[x],))
+        u = G.unit_simplex(x, 1)
         for deg in R.E.degrees():
             d = R.E.dim(x, deg)
             rep.checked += 1
@@ -387,7 +390,7 @@ def cycles_borders(R: Ruth, x: int):
     from .exactla import kernel
 
     E = R.E
-    s = NerveSimplex(x, ())
+    s = R.G.nerve_level(0)[x]
     out = {}
     for n in E.degrees():
         d_n = R.block(0, s, n)  # E_n -> E_{n-1}
@@ -410,7 +413,7 @@ def strict_ruth(E: GradedBundle, differential, arrow_maps) -> Ruth:
     composition; validated by the axiom checkers on construction.
     """
     G = E.G
-    ops = {(0, NerveSimplex(x, ())): differential.get(x, {}) for x in range(G.n_objects)}
+    ops = {(0, pt): differential.get(pt.x0, {}) for pt in G.nerve_level(0)}
     for s in G.nerve_level(1):
         ops[(1, s)] = arrow_maps.get(s.arrows[0], {})
     R = Ruth(E, ops)
@@ -454,8 +457,7 @@ class LinearGroupoidData:
     def mult_matrix(self, pair: NerveSimplex) -> RatMat:
         """((c', e'), (c, e)) -> composite (c' + R_1 c + R_2 e, e) over a 2-simplex."""
         G, E = self.R.G, self.R.E
-        g1 = NerveSimplex(pair.x0, pair.arrows[:1])
-        g2 = NerveSimplex(G.vertex_obj(pair, 1), pair.arrows[1:])
+        g2 = G.face(pair, 0)
         x0, x1, x2 = G.vertices(pair)
         c1, c2 = E.dim(x1, 1), E.dim(x2, 1)
         e0 = E.dim(x0, 0)

@@ -319,23 +319,13 @@ def example_not_full():
     V = pullback_svb(dk(Y, 4), G)
     C = canonical_cleavage(V)
 
-    # object 0 plays x, object 1 plays y; patterns list (x_0, x_1, x_2)
-    def simplex_for(pattern):
-        x0, x1, x2 = pattern
-        a = next(
-            g for g in range(G.n_arrows)
-            if G.arrow_src[g] == x0 and G.arrow_tgt[g] == x1
-        )
-        b = next(
-            g for g in range(G.n_arrows)
-            if G.arrow_src[g] == x1 and G.arrow_tgt[g] == x2
-        )
-        return NerveSimplex(x0, (a, b))
-
+    # object 0 plays x, object 1 plays y; a pair-groupoid 2-simplex is its
+    # vertex objects (x_0, x_1, x_2)
+    by_vertices = {G.vertices(s): s for s in G.nerve_level(2)}
     table = {
-        (2, simplex_for((1, 0, 0))): Subspace.from_rows(3, [[1, 0, -1], [0, 1, 1]]),
-        (2, simplex_for((0, 1, 0))): Subspace.from_rows(3, [[1, 0, 0], [0, 1, Fr(-1, 2)]]),
-        (2, simplex_for((1, 0, 1))): Subspace.from_rows(3, [[1, 0, -1], [0, 1, 0]]),
+        (2, by_vertices[1, 0, 0]): Subspace.from_rows(3, [[1, 0, -1], [0, 1, 1]]),
+        (2, by_vertices[0, 1, 0]): Subspace.from_rows(3, [[1, 0, 0], [0, 1, Fr(-1, 2)]]),
+        (2, by_vertices[1, 0, 1]): Subspace.from_rows(3, [[1, 0, -1], [0, 1, 0]]),
     }
     Cp = explicit_cleavage(V, table, fallback=C)
     return V, C, Cp
@@ -392,13 +382,8 @@ def _first_d0_identity_failure(B: SimpVB):
 
 
 def _contains_subsimplex(G: FinGroupoid, s: NerveSimplex, target: NerveSimplex) -> bool:
-    n, m = s.level, target.level
-    if m > n:
-        return False
-    for verts in combinations(range(n + 1), m + 1):
-        if G.restrict_vertices(s, verts) == target:
-            return True
-    return False
+    return any(G.restrict_vertices(s, verts) == target
+               for verts in combinations(range(s.level + 1), target.level + 1))
 
 
 def rh2_sensitivity(R: Ruth, L: int | None = None, rng=None) -> SensitivityReport:
@@ -516,8 +501,7 @@ def translation_svb(R: Ruth, L: int) -> SimpVB:
         src = grading(n, s)
         dst = grading(n - 1, G.face(s, i))
         if i == 0:
-            g1 = NerveSimplex(s.x0, s.arrows[:1])
-            return BlockMap(src, dst, {(1, 1): R.block(1, g1, 0)})
+            return BlockMap(src, dst, {(1, 1): R.block(1, G.restrict_vertices(s, (0, 1)), 0)})
         return BlockMap(src, dst, {(1, 1): Fr(1)})
 
     def deg(n, j, s):

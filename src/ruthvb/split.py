@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import NoSolutionError, ValidationError
 from .exactla import Fr, RatMat, left_solver, solve_matrix, sparse_rank
@@ -48,7 +49,6 @@ class SplitContext:
         self.L = V.L
         self.E = core(V)
         self.N = self.E.N
-        self._pik_coords: dict = {}
         self._split_mat: dict = {}
         self._fill_ops: dict = {}
         self._phi: dict = {}
@@ -68,24 +68,20 @@ class SplitContext:
         """Rows giving K-coordinates of the projection with kernel C.
 
         At level zero the kernel is the whole fiber and the projection is the
-        identity; cleavages only start at level one.
+        identity; cleavages only start at level one.  Not cached: its one
+        caller, split_matrix, is itself write-once per fiber.
         """
-        key = (n, s)
-        mat = self._pik_coords.get(key)
-        if mat is None:
-            K = relative_horn_kernel(self.V, n, 0, s)
-            d = self.V.fiber_dim(n, s)
-            if n == 0:
-                P = K.mat.transpose()
-            else:
-                Csub = self.C.subspace(n, s)
-                if K.dim + Csub.dim != d:
-                    raise ValidationError(f"fiber is not kernel plus cleavage at level {n}")
-                P = RatMat.vstack([K.mat, Csub.mat]).transpose()
-            inv = P.inverse()
-            mat = RatMat(K.dim, d, inv.data[: K.dim])
-            self._pik_coords[key] = mat
-        return mat
+        K = relative_horn_kernel(self.V, n, 0, s)
+        d = self.V.fiber_dim(n, s)
+        if n == 0:
+            P = K.mat.transpose()
+        else:
+            Csub = self.C.subspace(n, s)
+            if K.dim + Csub.dim != d:
+                raise ValidationError(f"fiber is not kernel plus cleavage at level {n}")
+            P = RatMat.vstack([K.mat, Csub.mat]).transpose()
+        inv = P.inverse()
+        return RatMat(K.dim, d, inv.data[: K.dim])
 
     # -- horn filling inside the cleavage ------------------------------------
 
@@ -136,13 +132,10 @@ class SplitContext:
         ri, _ = self.V.restrict_map(n, s, (i,))
         vals[edge] = self.horn_fill(1, 0, edge_base, {1: ri.apply(x)})
         members = [v for v in range(n + 2) if v not in edge]
-        for size in range(3, n + 3):
-            for extra_bits in range(1 << len(members)):
-                if bin(extra_bits).count("1") != size - 2:
-                    continue
-                alpha = tuple(sorted(edge + tuple(
-                    members[b] for b in range(len(members)) if (extra_bits >> b) & 1
-                )))
+        # each fill reads faces with one extra vertex fewer, filled in the round before
+        for size in range(1, n + 1):
+            for extra in combinations(members, size):
+                alpha = tuple(sorted(edge + extra))
                 m = len(alpha) - 1
                 ip = alpha.index(i)
                 faces = {}

@@ -85,25 +85,22 @@ class SimpVB:
     def restrict_map(self, n: int, s: NerveSimplex, verts) -> tuple[BlockMap, NerveSimplex]:
         """Restriction to a vertex subset as a composite of faces.
 
-        Deletes missing vertices from the top down, starting from the first
-        deleted face; the identity is built only when no vertex is deleted.
-        Returns the map together with the base simplex it lands over.
+        Deletes missing vertices from the top down, so vertex v is still face
+        index v, at level n less the deletions made so far; the identity is
+        built only when no vertex is deleted.  Returns the map together with
+        the base simplex it lands over.
         """
         keep = set(verts)
-        cur_verts = list(range(n + 1))
-        cur_s = s
-        cur_n = n
-        cur = None
-        for v in sorted((set(range(n + 1)) - keep), reverse=True):
-            pos = cur_verts.index(v)
-            face = self.face(cur_n, pos, cur_s)
-            cur = face if cur is None else face.compose(cur)
-            cur_s = self.base.face(cur_s, pos)
-            cur_verts.pop(pos)
-            cur_n -= 1
+        cur, t, m = None, s, n
+        for v in range(n, -1, -1):
+            if v not in keep:
+                face = self.face(m, v, t)
+                cur = face if cur is None else face.compose(cur)
+                t = self.base.face(t, v)
+                m -= 1
         if cur is None:
             cur = BlockMap.identity(self.grading(n, s))
-        return cur, cur_s
+        return cur, t
 
     def prefix_map(self, n: int, s: NerveSimplex, k: int) -> tuple[BlockMap, NerveSimplex]:
         """Restriction to the first k+1 vertices."""

@@ -526,6 +526,43 @@ def test_cli_split_rejects_bad_cleavage(doc_dir, tmp_path):
     assert main(["--quiet", "split", str(out / "svb.json"), str(bad)]) == 1
 
 
+def test_cli_validate_cleavage_witnesses_by_line(tmp_path, monkeypatch):
+    """Each line of `validate cleavage` lists the failures of its own check;
+    only the bijectivity line carries a witness list when it passes."""
+    G = pair_groupoid(2)
+    rng = random.Random(5)
+    R0 = random_strict_ruth(G, rng, (1, 1))
+    R = twisted_ruth_direct(R0, random_gauge(R0.E, rng))
+    monkeypatch.chdir(tmp_path)
+    docs.save_document("ruth.json", docs.ruth_to_doc(R))
+    (tmp_path / "out").mkdir()
+    assert main(["--quiet", "build-sdp", "ruth.json", "--out", "out"]) == 0
+
+    def results(cleavage):
+        code = main(["--quiet", "--json", "rep.json", "validate", "cleavage", cleavage,
+                     "--svb", "out/svb.json"])
+        return code, json.loads((tmp_path / "rep.json").read_text())["results"]
+
+    # the canonical cleavage of this twisted tower is weakly flat but not flat
+    assert results("out/cleavage.json") == (1, [
+        {"name": "bijective onto horns", "pass": True, "witness": []},
+        {"name": "normal", "pass": True},
+        {"name": "weakly flat", "pass": True},
+        {"name": "flat", "pass": False, "witness": ["('flatness', 2, 2)", "('flatness', 2, 5)"]},
+    ])
+    cdoc = docs.load_document("out/cleavage.json")
+    cdoc["fibers"]["1"][1] = [["0", "1"]]
+    docs.save_document("bad.json", cdoc)
+    assert results("bad.json") == (1, [
+        {"name": "bijective onto horns", "pass": False, "witness": ["('complement', 1, 0, 1)"]},
+        {"name": "normal", "pass": True},
+        {"name": "weakly flat", "pass": False,
+         "witness": ["('weak flatness', 2, 2)", "('weak flatness', 2, 3)"]},
+        {"name": "flat", "pass": False,
+         "witness": ["('flatness', 2, 2)", "('flatness', 2, 3)", "('flatness', 2, 5)"]},
+    ])
+
+
 def test_cli_determinism(doc_dir, tmp_path):
     path, _ = doc_dir
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -11,7 +11,7 @@ from ruthvb.groupoid import (
     pair_groupoid,
     unit_groupoid,
 )
-from ruthvb.ordmaps import OrdMap, compose, delta, upsilon, vertex
+from ruthvb.ordmaps import OrdMap, compose, delta, sigma, tau, upsilon, vertex
 
 
 def test_builtin_counts():
@@ -251,3 +251,18 @@ def test_invalid_nerve_arguments_raise_value_error():
             G.degeneracy(s, i)
     with pytest.raises(ValueError):
         G.face(G.nerve_level(0)[1], 0)
+
+
+def test_head_and_tail_by_vertices_are_the_canonical_restrictions():
+    """The head on vertices 0..r and the tail on r..m of every m-simplex are
+    the nerve's own objects, equal to the restrictions along sigma and tau."""
+    for name, G in builtin_groupoids().items():
+        for m in range(5):
+            for s in G.nerve_level(m):
+                for r in range(m + 1):
+                    head = G.restrict_vertices(s, range(r + 1))
+                    tail = G.restrict_vertices(s, range(r, m + 1))
+                    assert head is G.nerve_level(r)[G.simplex_index(head)], (name, s, r)
+                    assert tail is G.nerve_level(m - r)[G.simplex_index(tail)], (name, s, r)
+                    assert head == G.restrict(s, sigma(r, m)) and head.arrows == s.arrows[:r]
+                    assert tail == G.restrict(s, tau(m - r, m)) and tail.arrows == s.arrows[r:]

@@ -31,3 +31,17 @@ def test_cli_import_leaves_gallery_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_simplices_come_from_the_groupoid():
+    """Only groupoid.py constructs a NerveSimplex: every other module takes
+    its simplices from the groupoid, which hands out one object per simplex.
+    ruth.py splits simplices by vertex tuples and does not import ordmaps."""
+    src = os.path.dirname(ruthvb.__file__)
+    texts = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                texts[name] = fh.read()
+    assert [name for name, text in texts.items() if "NerveSimplex(" in text] == ["groupoid.py"]
+    assert "ordmaps" not in texts["ruth.py"]

@@ -313,3 +313,31 @@ def test_grothendieck_assoc_is_level_three_coherence():
         ])
         right = m_skew @ right_in
         assert left == right
+
+
+def _canonical_keys(X) -> bool:
+    """Every (m, simplex) key of a table is the nerve's own object."""
+    G = X.G
+    return all(s is G.nerve_level(m)[G.simplex_index(s)] for m, s in X.ops)
+
+
+def test_built_towers_keyed_by_canonical_simplices():
+    rng = random.Random(7)
+    R0 = random_strict_ruth(pair_groupoid(2), rng, (1, 1))
+    psi = random_gauge(R0.E, rng)
+    R = twisted_ruth_direct(R0, psi)
+    Y = ChainComplex((1, 1), {1: RatMat.from_rows([[1]])})
+    identity = identity_morphism(R)
+    tables = {
+        "strict_ruth": R0,
+        "chain_complex_ruth": chain_complex_ruth(unit_groupoid(2), Y),
+        "representation_ruth": two_object_rep(),
+        "twisted_ruth_direct": R,
+        "GaugeData": psi,
+        "identity_morphism": identity,
+        "compose_morphisms": compose_morphisms(identity, psi.as_morphism(R0, R)),
+    }
+    for name, X in tables.items():
+        # an order-zero representation has no differential, so no level-0 key
+        assert name == "representation_ruth" or any(m == 0 for m, _ in X.ops), name
+        assert X.ops and _canonical_keys(X), name

@@ -486,6 +486,41 @@ def test_restrict_map_equals_identity_then_faces():
                 assert got_base == base == V.base.restrict_vertices(s, verts)
 
 
+def _faces_bottom_up(V, n, s, verts):
+    """The restriction to verts as faces deleting the missing vertices bottom up,
+    each index shifted down by the deletions below it."""
+    ref, base, deleted = BlockMap.identity(V.grading(n, s)), s, 0
+    for v in range(n + 1):
+        if v not in verts:
+            ref = V.face(n - deleted, v - deleted, base).compose(ref)
+            base = V.base.face(base, v - deleted)
+            deleted += 1
+    return ref, base
+
+
+@pytest.mark.parametrize("over", ["pair(2)", "POINT"])
+def test_restrict_map_equals_faces_deleted_bottom_up(over):
+    """restrict_map is the composite of faces for every vertex subset, on a
+    twisted pair(2) bundle and on dk over POINT, and lands over the groupoid's
+    own restriction."""
+    if over == "POINT":
+        V = dk(ChainComplex((1, 2, 1), {1: RatMat.from_rows([[1, 0]]),
+                                        2: RatMat.from_rows([[0], [1]])}), 4)
+    else:
+        V = build_sdp(_twisted_tower(pair_groupoid(2), (1, 1), 43), 3)
+    for n in range(V.L + 1):
+        for s in V.base.nerve_level(n):
+            for k in range(1, n + 2):
+                for verts in itertools.combinations(range(n + 1), k):
+                    got, got_base = V.restrict_map(n, s, verts)
+                    ref, base = _faces_bottom_up(V, n, s, verts)
+                    assert got == ref, (n, s, verts)
+                    if over == "POINT":
+                        assert got_base is base is None
+                    else:
+                        assert got_base is base is V.base.restrict_vertices(s, verts)
+
+
 def _perturbed_r2(R):
     """R with one entry of its first nonzero R_2 block over a nondegenerate simplex moved."""
     s = next(s for s in R.G.nerve_level(2) if not R.G.is_degenerate(s) and R.block(2, s, 0).rows)
