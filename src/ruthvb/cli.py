@@ -156,6 +156,7 @@ def cmd_build_sdp(args) -> int:
     rep.add("canonical cleavage normal and weakly flat",
             crep.bijective and crep.normal and crep.weakly_flat)
     if args.out:
+        os.makedirs(args.out, exist_ok=True)
         docs.save_document(os.path.join(args.out, "svb.json"), docs.svb_to_doc(B))
         docs.save_document(os.path.join(args.out, "cleavage.json"), docs.cleavage_to_doc(B, C))
     rep.emit(args)
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("path", help="tower document")
     b.add_argument("--level", type=int, help="truncation level (default 2N+3)")
     b.add_argument("--mcap", type=int)
-    b.add_argument("--out", help="directory for the bundle and cleavage documents")
+    b.add_argument("--out", help="directory for the bundle and cleavage documents (created if missing)")
     b.set_defaults(fn=cmd_build_sdp)
 
     s = sub.add_parser("split", help="split a bundle along a cleavage", parents=[common])

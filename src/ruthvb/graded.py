@@ -11,11 +11,24 @@ A scalar block is a Python int when it is integral and a Fraction only when
 it is not; no stored block is zero.  Transports therefore compose and compare
 in native integer arithmetic, and every result stays an exact rational.
 
-A BlockMap carries two write-once caches read off its blocks: its sparse rows
-(sparse_rows, the one read from blocks to coordinates: apply, to_dense and the
-document writer go through it) and its blocks grouped by target label (the
-index compose reads on its right operand).  So blocks must never change after
-construction.
+A BlockMap is stored in one of two forms, and transport is the one place
+that picks between them.  A transport whose coefficients are all 1 and whose
+target labels each occur once is a row map, {target label: source label}:
+each target block reads one source block by the identity.  Every positive
+face and every degeneracy of a mask-graded bundle is one.  Every other map
+stores its blocks.  The blocks property reads either form; for a row map it
+materializes {(t, a): 1} on first use and keeps it.  compose and == read a
+row map as it is: row ∘ row is a row map again, row ∘ M and M ∘ row (when no
+two targets read one source) relabel M's blocks without arithmetic, and two
+row maps compare as dicts.
+
+A BlockMap carries write-once caches read off its stored form: its blocks
+(for a row map), its sparse rows (sparse_rows, the one read from blocks to
+coordinates: apply, to_dense and the document writer go through it), its
+blocks grouped by target label (the index compose reads on its right
+operand) and, for a row map, whether no two targets read one source.
+Assigning blocks raises AttributeError; the stored dicts must never be
+changed in place either.
 """
 
 from __future__ import annotations
@@ -154,15 +167,19 @@ def _entries_equal(a: Entry | None, b: Entry | None) -> bool:
 class BlockMap:
     """A linear map dst <- src given by blocks keyed (dst_label, src_label)."""
 
-    __slots__ = ("src", "dst", "blocks", "_rows", "_index")
+    __slots__ = ("src", "dst", "_blocks", "_rowmap", "_injective", "_rows", "_index")
 
     @classmethod
-    def _raw(cls, src: Grading, dst: Grading, blocks: dict) -> BlockMap:
-        """Internal constructor for blocks already valid, nonzero and in stored form."""
+    def _raw(cls, src: Grading, dst: Grading, blocks: dict | None, rowmap: dict | None = None) -> BlockMap:
+        """Internal constructor for blocks already valid, nonzero and in stored form,
+        or for a row map {dst label: src label} of identity blocks between nonzero
+        equal dims."""
         self = object.__new__(cls)
         self.src = src
         self.dst = dst
-        self.blocks = blocks
+        self._blocks = blocks
+        self._rowmap = rowmap
+        self._injective = None
         self._rows = None
         self._index = None
         return self
@@ -170,9 +187,11 @@ class BlockMap:
     def __init__(self, src: Grading, dst: Grading, blocks: dict):
         self.src = src
         self.dst = dst
+        self._rowmap = None
+        self._injective = None
         self._rows = None
         self._index = None
-        self.blocks = {}
+        self._blocks = stored = {}
         for (dl, sl), e in blocks.items():
             do, si = dst.dim(dl), src.dim(sl)
             if do == 0 or si == 0:
@@ -190,7 +209,14 @@ class BlockMap:
                     continue
                 if do != si:
                     raise DimensionMismatch("scalar block must join equal dims")
-            self.blocks[(dl, sl)] = e
+            stored[(dl, sl)] = e
+
+    @property
+    def blocks(self) -> dict:
+        """{(dst label, src label): stored block}; read-only, materialized once for a row map."""
+        if self._blocks is None:
+            self._blocks = {(t, a): 1 for t, a in self._rowmap.items()}
+        return self._blocks
 
     # -- constructors ------------------------------------------------------
 
@@ -200,7 +226,7 @@ class BlockMap:
 
     @staticmethod
     def identity(g: Grading) -> BlockMap:
-        return BlockMap(g, g, {(l, l): 1 for l in g.labels})
+        return BlockMap.transport(g, g, [(l, l, 1) for l in g.labels])
 
     @staticmethod
     def transport(src: Grading, dst: Grading, pairs) -> BlockMap:
@@ -208,17 +234,26 @@ class BlockMap:
 
         Built directly: a pair touching a label of dimension 0 is dropped, the
         two labels of every other pair must have equal dims, and a nonzero int
-        coefficient is stored as it is.
+        coefficient is stored as it is.  When every kept coefficient is 1 and
+        each target label occurs once, the map is stored as a row map.
         """
         ddim, sdim = dst._dims, src._dims
-        blocks = {}
+        rowmap: dict = {}
+        blocks = None
         for dl, sl, c in pairs:
             d, e = ddim[dl], sdim[sl]
             if not (d and e and c):
                 continue
             if d != e:
                 raise DimensionMismatch("scalar block must join equal dims")
+            if blocks is None:
+                if c == 1 and dl not in rowmap:
+                    rowmap[dl] = sl
+                    continue
+                blocks = {(t, a): 1 for t, a in rowmap.items()}
             blocks[(dl, sl)] = c if type(c) is int else _scalar(c)
+        if blocks is None:
+            return BlockMap._raw(src, dst, None, rowmap)
         return BlockMap._raw(src, dst, blocks)
 
     @staticmethod
@@ -273,8 +308,11 @@ class BlockMap:
     def _by_dst(self) -> dict:
         """Blocks grouped by destination label, {dst label: [(src label, entry), ...]} (cached)."""
         if self._index is None:
+            if self._rowmap is not None:
+                self._index = {t: [(a, 1)] for t, a in self._rowmap.items()}
+                return self._index
             index: dict = {}
-            for (dl, sl), e in self.blocks.items():
+            for (dl, sl), e in self._blocks.items():
                 lst = index.get(dl)
                 if lst is None:
                     index[dl] = [(sl, e)]
@@ -283,14 +321,34 @@ class BlockMap:
             self._index = index
         return self._index
 
+    def _reads_injectively(self) -> bool:
+        """For a row map: whether no two target labels read one source label (cached)."""
+        if self._injective is None:
+            rm = self._rowmap
+            self._injective = len(set(rm.values())) == len(rm)
+        return self._injective
+
     def compose(self, other: BlockMap) -> BlockMap:
         """self ∘ other (apply other first)."""
         if other.dst is not self.src and other.dst != self.src:
             raise DimensionMismatch("composition gradings do not match")
+        mine, theirs = self._rowmap, other._rowmap
+        if mine is not None:
+            if theirs is not None:
+                return BlockMap._raw(other.src, self.dst, None,
+                                     {t: theirs[m] for t, m in mine.items() if m in theirs})
+            # each target reads one middle block, so other's rows are copied, not summed
+            by_mid = other._by_dst()
+            return BlockMap._raw(other.src, self.dst, {
+                (t, a): e for t, m in mine.items() if m in by_mid for a, e in by_mid[m]})
+        if theirs is not None and other._reads_injectively():
+            # distinct middle labels read distinct sources, so no two blocks meet
+            return BlockMap._raw(other.src, self.dst, {
+                (t, theirs[m]): e for (t, m), e in self._blocks.items() if m in theirs})
         by_mid = other._by_dst()
         acc: dict = {}
         cancelled = False
-        for (dl, ml), e1 in self.blocks.items():
+        for (dl, ml), e1 in self._blocks.items():
             lst = by_mid.get(ml)
             if not lst:
                 continue
@@ -303,6 +361,10 @@ class BlockMap:
                         acc[key] = e1 * e2
                         continue
                     v = _entry_add(prev, e1 * e2)
+                elif prev is None and (type(e1) is not RatMat or type(e2) is not RatMat):
+                    # a nonzero scalar times a nonzero block is nonzero
+                    acc[key] = _entry_mul(e1, e2)
+                    continue
                 else:
                     v = _entry_add(prev, _entry_mul(e1, e2))
                 acc[key] = v
@@ -345,14 +407,16 @@ class BlockMap:
             self.dst is not other.dst and self.dst != other.dst
         ):
             return False
+        if self._rowmap is not None and other._rowmap is not None:
+            return self._rowmap == other._rowmap
+        mine, theirs = self.blocks, other.blocks
         # stored blocks compare exactly, so equal dicts are equal maps
-        if self.blocks == other.blocks:
+        if mine == theirs:
             return True
         # no stored block is zero, so maps with different supports differ
-        if self.blocks.keys() != other.blocks.keys():
+        if mine.keys() != theirs.keys():
             return False
-        theirs = other.blocks
-        for key, a in self.blocks.items():
+        for key, a in mine.items():
             b = theirs[key]
             if type(a) is RatMat or type(b) is RatMat:
                 if not _entries_equal(a, b):
@@ -365,7 +429,7 @@ class BlockMap:
         raise TypeError("BlockMap is not hashable")
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not (self._blocks if self._rowmap is None else self._rowmap)
 
     # -- application -------------------------------------------------------
 

@@ -42,10 +42,12 @@ def sdp_grading(E: GradedBundle, G: FinGroupoid, n: int, s: NerveSimplex) -> Gra
 class MaskBundle(SimpVB):
     """A bundle whose level-n fibers are graded by the 0-preserving monos into [n].
 
-    Positive faces and degeneracies are index transports.  The zeroth face
-    reads each target's d_0 row: an interior deletion (Case II) is a signed
-    identity, and a prefix (Case I) is prefix_entry(term, s), a stored block
-    or None for a zero one.  The semi-direct product is this bundle over a
+    Positive faces and degeneracies are index transports, stored as row maps
+    {target mask: source mask} (see graded), so the identity sweep composes
+    and compares them as label tables.  The zeroth face reads each target's
+    d_0 row: an interior deletion (Case II) is a signed identity, and a
+    prefix (Case I) is prefix_entry(term, s), a stored block or None for a
+    zero one.  The semi-direct product is this bundle over a
     groupoid; dk is the same bundle over POINT.
     """
 

@@ -8,7 +8,9 @@ Facts that read structure maps alone are memoized by the identity of those
 maps: an identity verdict per tuple of composed maps and a face kernel per
 tuple of face maps.  Where a bundle hands several simplices the same map
 object (one transport per pair of gradings), they share one computation;
-where it does not, each simplex pays as before.
+where it does not, each simplex pays as before.  Over POINT, one simplex per
+level, no two identities compose the same maps, so the identity sweep keeps
+no verdict memo there and decides each identity directly.
 
 In a mask-graded bundle the positive faces are index transports and only
 d_0 carries tower data, so a face kernel whose face set holds 0 and another
@@ -29,6 +31,7 @@ from fractions import Fraction
 
 from .exactla import Subspace, _sub_scaled, restricted_kernel, sparse_kernel_basis, sparse_rank
 from .graded import BlockMap
+from .groupoid import POINT
 
 
 @dataclass
@@ -60,10 +63,11 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
     d_i d_j verdicts and the per-simplex "all face pairs commute" flag go to
     the bundle (see _face_pairs), where horn_dim reads them; the d_i u_j and
     u_i u_j verdicts key on this sweep's own identity maps and stay local.
+    Over POINT no verdict is memoized: no two identities share their maps.
     """
     report = IdentityReport()
     levels = range(fc.L + 1) if levels is None else levels
-    verdicts: dict = {}
+    verdicts: dict | None = None if fc.base is POINT else {}
     idents: dict = {}  # one identity map per grading object, alive for the sweep
 
     def record(name, n, key, idx):
@@ -115,8 +119,11 @@ def verify_simplicial_identities(fc, levels=None) -> IdentityReport:
     return report
 
 
-def _holds(verdicts: dict, a, b, c, d) -> bool:
-    """a∘b == c∘d, or a∘b == c when d is None; decided once per tuple of map ids."""
+def _holds(verdicts: dict | None, a, b, c, d) -> bool:
+    """a∘b == c∘d, or a∘b == c when d is None; decided once per tuple of map ids
+    in verdicts, or every time when verdicts is None."""
+    if verdicts is None:
+        return a.compose(b) == (c if d is None else c.compose(d))
     key = (id(a), id(b), id(c), id(d))
     ok = verdicts.get(key)
     if ok is None:
@@ -129,11 +136,12 @@ def _face_pairs(fc, n: int, key):
 
     Each verdict is decided once per bundle and kept in its write-once
     table, keyed by the ids of the four face maps, which the bundle's face
-    table keeps alive.
+    table keeps alive; over POINT, where no two pairs share their maps, it
+    is decided every time.
     """
     faces = [fc.face(n, i, key) for i in range(n + 1)]
     fkeys = [fc.base.face(key, i) for i in range(n + 1)]
-    verdicts = fc._pair_verdicts
+    verdicts = None if fc.base is POINT else fc._pair_verdicts
     for j in range(1, n + 1):
         for i in range(j):
             yield i, j, _holds(verdicts, fc.face(n - 1, i, fkeys[j]), faces[j],

@@ -503,6 +503,14 @@ def test_cli_build_and_split_pipeline(doc_dir, tmp_path):
     assert doc["operators"] == original["operators"]
 
 
+def test_cli_build_creates_missing_out_dir(doc_dir, tmp_path):
+    path, _ = doc_dir
+    out = tmp_path / "missing" / "nested"
+    assert main(["--quiet", "build-sdp", str(path / "ruth.json"), "--out", str(out)]) == 0
+    V = docs.svb_from_doc(docs.load_document(str(out / "svb.json")))
+    docs.cleavage_from_doc(V, docs.load_document(str(out / "cleavage.json")))
+
+
 def test_cli_build_rejects_invalid_tower(doc_dir, tmp_path):
     path, _ = doc_dir
     doc = docs.load_document(str(path / "ruth.json"))

@@ -4,10 +4,14 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_strict_ruth
 from ruthvb.documents import _block_map_to_json, rat_to_str
+from ruthvb.doldkan import ChainComplex, dk
 from ruthvb.errors import DimensionMismatch
 from ruthvb.exactla import RatMat
 from ruthvb.graded import BlockMap, Grading, _as_scalar
+from ruthvb.groupoid import pair_groupoid
+from ruthvb.sdp import build_sdp
 
 
 def rand_blockmap(rng, src: Grading, dst: Grading, density=0.6) -> BlockMap:
@@ -128,6 +132,15 @@ def gradings(size):
 
 
 def block_maps(data, src: Grading, dst: Grading) -> BlockMap:
+    """A map in either stored form: one in four is a transport of reads by 1."""
+    if data.draw(st.integers(0, 3)) == 0:
+        reads = []
+        for dl in dst.labels:
+            same = [sl for sl in src.labels if src.dim(sl) == dst.dim(dl)]
+            sl = data.draw(st.sampled_from(same + [None]))
+            if sl is not None:
+                reads.append((dl, sl, 1))
+        return BlockMap.transport(src, dst, reads)
     blocks = {}
     for dl in dst.labels:
         for sl in src.labels:
@@ -282,3 +295,97 @@ def test_cancellations_keep_storage_rule():
         assert g.compose(f).is_zero() and not g.compose(f).blocks
         assert g.compose(f) == BlockMap.zero(g1, g1)
     assert BlockMap(g2, g2, {(0, 0): Fr(0)}).is_zero()
+
+
+# -- the row-map form: transports whose target labels each read one source by 1
+
+
+def row_map(src: Grading, dst: Grading, reads: dict) -> BlockMap:
+    """The transport in which target t reads source reads[t] by the identity."""
+    m = BlockMap.transport(src, dst, [(t, a, 1) for t, a in reads.items()])
+    assert m._rowmap is not None
+    return m
+
+
+def test_row_maps_compose_as_dense_products():
+    """Every pairing of the two forms composes to the dense product, including
+    a source read twice and labels of dim 0."""
+    rng = random.Random(26)
+    ga = Grading(("a0", "a1", "a2", "az"), (2, 1, 2, 0))
+    gb = Grading(("b0", "b1", "b2", "bz"), (2, 1, 2, 0))
+    gc = Grading(("c0", "c1", "c2", "c3", "cz"), (2, 1, 2, 2, 0))
+    gd = Grading(("d0", "d1"), (3, 2))
+    injective = row_map(ga, gb, {"b0": "a2", "b1": "a1", "b2": "a0", "bz": "az"})
+    twice = row_map(gb, gc, {"c0": "b0", "c1": "b1", "c2": "b2", "c3": "b0", "cz": "bz"})
+    assert injective._reads_injectively() and not twice._reads_injectively()
+    cases = [
+        ("row ∘ row", twice, injective, True),
+        ("row ∘ blocks", twice, rand_blockmap(rng, ga, gb), False),
+        ("blocks ∘ injective row", rand_blockmap(rng, gb, gd), injective, False),
+        ("blocks ∘ row read twice", rand_blockmap(rng, gc, gd), twice, False),
+        ("blocks ∘ blocks", rand_blockmap(rng, gb, gd), rand_blockmap(rng, ga, gb), False),
+    ]
+    for name, g, f, stays_row in cases:
+        comp = g.compose(f)
+        assert comp.to_dense() == g.to_dense() @ f.to_dense(), name
+        assert (comp._rowmap is not None) == stays_row, name
+        assert_stored(comp)
+    # the generic loop sums the two paths through a source read twice
+    back = BlockMap(gc, ga, {("a0", "c0"): 1, ("a0", "c3"): -1, ("a1", "c1"): Fr(1, 2)})
+    assert back.compose(twice).blocks == {("a1", "b1"): Fr(1, 2)}
+    # transports between labels of dim 0 hold no block, and compose to zero maps
+    zero = Grading(("p", "q"), (0, 0))
+    empty = row_map(zero, zero, {"p": "q", "q": "p"})
+    assert empty.is_zero() and empty.blocks == {}
+    for g, f in ((empty, empty), (BlockMap.zero(gb, zero), injective),
+                 (row_map(zero, ga, {"az": "p"}), BlockMap.zero(gb, zero))):
+        comp = g.compose(f)
+        assert comp.is_zero() and comp.to_dense() == g.to_dense() @ f.to_dense()
+
+
+def test_row_map_equals_its_blocks():
+    src = Grading(("a", "b"), (2, 1))
+    dst = Grading(("x", "y", "z"), (1, 2, 2))
+    r = row_map(src, dst, {"x": "b", "y": "a", "z": "a"})
+    same = BlockMap(src, dst, {("x", "b"): 1, ("y", "a"): 1, ("z", "a"): RatMat.identity(2)})
+    assert same._rowmap is None
+    assert r == same and same == r
+    assert r == row_map(src, dst, {"z": "a", "x": "b", "y": "a"})
+    other = BlockMap(src, dst, {("x", "b"): 1, ("y", "a"): 1, ("z", "a"): -1})
+    assert r != other and other != r
+    assert r != row_map(src, dst, {"x": "b", "y": "a"})
+    assert r.blocks == {("x", "b"): 1, ("y", "a"): 1, ("z", "a"): 1}
+
+
+def test_transport_keeps_blocks_unless_every_read_is_one():
+    g = Grading(("a", "b"), (1, 1))
+    for pairs in ([("a", "a", 1), ("b", "b", -1)], [("a", "b", 2)],
+                  [("a", "a", 1), ("a", "b", 1)]):
+        m = BlockMap.transport(g, g, pairs)
+        assert m._rowmap is None, pairs
+        assert m.blocks == {(t, a): c for t, a, c in pairs}
+    assert BlockMap.transport(g, g, [("a", "b", Fr(1)), ("b", "b", 1)])._rowmap == {"a": "b", "b": "b"}
+    assert BlockMap.identity(g)._rowmap == {"a": "a", "b": "b"}
+
+
+def test_blocks_cannot_be_assigned():
+    g = Grading(("a",), (1,))
+    for m in (BlockMap.identity(g), BlockMap(g, g, {("a", "a"): 2})):
+        with pytest.raises(AttributeError):
+            m.blocks = {}
+        assert m.to_dense() == RatMat.identity(1).scale(m.blocks[("a", "a")])
+
+
+def test_mask_bundle_transports_are_row_maps():
+    """Every positive face and every degeneracy of dk and of a semi-direct
+    product is stored as a row map; only d_0 holds blocks."""
+    Y = ChainComplex((1, 2, 1), {1: RatMat.from_rows([[1, 0]]), 2: RatMat.from_rows([[0], [1]])})
+    R = random_strict_ruth(pair_groupoid(2), random.Random(3), (1, 1))
+    for V in (dk(Y, 5), build_sdp(R, 4)):
+        for n in range(V.L + 1):
+            for s in V.base.nerve_level(n):
+                for i in range(1, n + 1):
+                    assert V.face(n, i, s)._rowmap is not None, (n, i, s)
+                if n < V.L:
+                    for j in range(n + 1):
+                        assert V.deg(n, j, s)._rowmap is not None, (n, j, s)

@@ -15,6 +15,7 @@ from ruthvb.graded import BlockMap
 from ruthvb.groupoid import cyclic_group, pair_groupoid, unit_groupoid
 from ruthvb.ordmaps import d0_row
 from ruthvb.ruth import (
+    GradedBundle,
     Ruth,
     chain_complex_ruth,
     compose_morphisms,
@@ -28,6 +29,7 @@ from ruthvb.sdp import (
     d0_paths_agree,
     lift_morphism,
     rh2_sensitivity,
+    sdp_grading,
     translation_svb,
     twisted_cleavage,
     unit_face_clause,
@@ -41,6 +43,20 @@ def twisted(seed, base=None, dims=(1, 1)):
     rng = random.Random(seed)
     R0 = random_strict_ruth(G, rng, dims)
     return R0, gauge_twist(R0, random_gauge(R0.E, rng))
+
+
+def test_sdp_grading_reads_each_summand_at_its_top_vertex():
+    """The summand of a mask sits at the object of the mask's top vertex, in
+    degree (mask size - 1); dims differ at objects 0 and 1 so every vertex counts."""
+    G = pair_groupoid(2)
+    E = GradedBundle(G, {0: (1, 0, 4), 1: (2, 3, 5)})
+    by_vertices = {G.vertices(s): s for n in (1, 2) for s in G.nerve_level(n)}
+    # masks 0b01 = {0} at vertex 0 (object 0, degree 0), 0b11 = {0, 1} at vertex 1 (object 1, degree 1)
+    g = sdp_grading(E, G, 1, by_vertices[0, 1])
+    assert (g.labels, g.dims) == ((0b01, 0b11), (1, 3))
+    # objects (1, 0, 1): {0} -> E(1, 0), {0, 1} -> E(0, 1), {0, 2} -> E(1, 1), {0, 1, 2} -> E(1, 2)
+    g = sdp_grading(E, G, 2, by_vertices[1, 0, 1])
+    assert (g.labels, g.dims) == ((0b001, 0b011, 0b101, 0b111), (2, 0, 3, 5))
 
 
 def test_bundle_freed_by_reference_counting():
